@@ -2,7 +2,7 @@
 """Benchmark the solver on seeded sparse random graphs against min-degree greedy.
 
 With one worker, ER(700, 0.15) seeds 0-2 give best sizes 41/41/43
-against greedy 38/41/39, 80-100 s per instance on one core of a 2-core
+against greedy 38/41/39, 34-35 s per instance on one core of a 2-core
 x86 box. The er preset's 7168 runs finish inside the default 300 s
 limit, so a longer --time-limit changes nothing.
 """

@@ -10,6 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .errors import InputError
 from .generators import gen_er, gen_gnm, gnm_edge_count
 from .graph import Graph
 from .graph_io import load_graph
@@ -59,12 +62,14 @@ def resolve_config(g: Graph, preset: str | None = None, **overrides) -> SolverCo
     fields = dict(_DEFAULTS)
     if preset is not None:
         if preset not in PRESETS:
-            raise ValueError(f"unknown preset {preset!r}; pick one of {sorted(PRESETS)}")
+            raise InputError(f"unknown preset {preset!r}; pick one of {sorted(PRESETS)}")
         fields.update(PRESETS[preset])
     unknown = set(overrides) - set(fields)
     if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        raise InputError(f"unknown config fields: {sorted(unknown)}")
     fields.update({k: v for k, v in overrides.items() if v is not None})
+    if fields["mean"] is not None and np.shape(fields["mean"]) != (g.n,):
+        raise InputError(f"mean vector has shape {np.shape(fields['mean'])}, graph has {g.n} nodes")
     params = gamma_select(g, fields.pop("gamma"), fields.pop("complement_term_enabled"))
     return SolverConfig(
         gamma=params.gamma,
@@ -162,22 +167,18 @@ def parse_suite(text: str) -> BenchSuite:
                           {"gnm": [n] or [n, m], "seed": 1},
                           {"file": "path"}]}
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"suite is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("config", {}), dict):
+        raise InputError("suite must be a JSON object whose config is an object")
     instances: list[BenchInstance] = []
     for item in doc.get("instances", []):
-        seed = int(item.get("seed", 0))
-        if "er" in item:
-            n, p = item["er"]
-            instances.append(BenchInstance("er", n=int(n), p=float(p), seed=seed))
-        elif "gnm" in item:
-            vals = item["gnm"]
-            n = int(vals[0])
-            m = int(vals[1]) if len(vals) > 1 else None
-            instances.append(BenchInstance("gnm", n=n, m=m, seed=seed))
-        elif "file" in item:
-            instances.append(BenchInstance("file", path=str(item["file"])))
-        else:
-            raise ValueError(f"instance needs one of er/gnm/file: {item!r}")
+        try:
+            instances.append(_parse_instance(item))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad instance {item!r}: {exc}") from None
     options = dict(doc.get("config", {}))
     preset = options.pop("preset", None)
     return BenchSuite(
@@ -186,6 +187,20 @@ def parse_suite(text: str) -> BenchSuite:
         options=options,
         time_limit=doc.get("time_limit"),
     )
+
+
+def _parse_instance(item: dict) -> BenchInstance:
+    seed = int(item.get("seed", 0))
+    if "er" in item:
+        n, p = item["er"]
+        return BenchInstance("er", n=int(n), p=float(p), seed=seed)
+    if "gnm" in item:
+        vals = item["gnm"]
+        m = int(vals[1]) if len(vals) > 1 else None
+        return BenchInstance("gnm", n=int(vals[0]), m=m, seed=seed)
+    if "file" in item:
+        return BenchInstance("file", path=str(item["file"]))
+    raise ValueError("instance needs one of er/gnm/file")
 
 
 def write_summary(summary: BenchSummary, fmt: str = "json") -> str:

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: solve, gen, oracle, check, bench. Exit codes: 0 on success,
-2 on bad input (parse or validation), 3 on numerical failure.
+2 on bad input (parse or validation), 3 on numerical failure. Any other
+error is a program fault and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from .bench import bench_suite, parse_suite, resolve_config, write_summary
 from .checker import direct_mis_check, fast_mis_check
+from .errors import InputError
 from .generators import InvalidEdgeCount, gen_er, gen_gnm, gnm_edge_count
 from .graph import Graph, InvalidEdge, NodeSet
 from .graph_io import ParseError, load_graph, write_dimacs, write_edge_list, write_report
@@ -23,7 +25,7 @@ from .objective import InvalidGamma, gamma_select
 from .oracle import TooLarge, exact_mis
 from .optimizer import NumericalError, solve
 
-_INPUT_ERRORS = (ParseError, InvalidGamma, InvalidEdge, InvalidEdgeCount, TooLarge, ValueError, OSError)
+_INPUT_ERRORS = (ParseError, InvalidGamma, InvalidEdge, InvalidEdgeCount, TooLarge, InputError, OSError)
 
 
 def _gamma_arg(raw: str):
@@ -42,7 +44,10 @@ def _workers(args: argparse.Namespace) -> int | None:
         return args.workers
     env = os.environ.get("QUADMIS_WORKERS")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise InputError(f"QUADMIS_WORKERS must be an integer, got {env!r}") from None
     return None
 
 
@@ -93,7 +98,7 @@ def _solver_overrides(args: argparse.Namespace) -> dict:
         elif args.init in ("random", "degree"):
             over["init_scheme"] = args.init
         else:
-            raise ValueError(f"--init must be 'random', 'degree', or 'mean:FILE', got {args.init!r}")
+            raise InputError(f"--init must be 'random', 'degree', or 'mean:FILE', got {args.init!r}")
     return over
 
 
@@ -113,9 +118,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.n < 0:
+        raise InputError("--n must be non-negative")
     if args.family == "er":
         if args.p is None:
-            raise ValueError("er generation needs --p")
+            raise InputError("er generation needs --p")
         g = gen_er(args.n, args.p, args.seed)
     else:
         m = gnm_edge_count(args.n) if args.m is None else args.m
@@ -142,11 +149,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     g = load_graph(args.graph, args.format)
-    members = [int(tok) for tok in args.set.split(",") if tok.strip() != ""]
+    try:
+        members = [int(tok) for tok in args.set.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise InputError(f"--set must list integer node ids, got {args.set!r}") from None
     z = np.zeros(g.n)
     for v in members:
         if not 0 <= v < g.n:
-            raise ValueError(f"node {v} out of range for n={g.n}")
+            raise InputError(f"node {v} out of range for n={g.n}")
         z[v] = 1.0
     params = gamma_select(g, args.gamma if args.gamma is not None else "strict-n")
     nodes = NodeSet.of(members)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
 from .graph import Graph
 
 
@@ -14,7 +15,7 @@ class InvalidEdgeCount(ValueError):
 def gen_er(n: int, p: float, seed: int) -> Graph:
     """G(n, p): every unordered pair kept independently with probability p."""
     if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+        raise InputError("p must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.size) < p

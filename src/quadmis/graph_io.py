@@ -124,8 +124,11 @@ def sniff_format(text: str) -> str:
 
 
 def load_graph(path, fmt: str | None = None) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from None
     fmt = fmt or sniff_format(text)
     if fmt == "dimacs":
         return parse_dimacs(text)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .graph import Graph
 
 SCHEMES = ("random", "degree", "external-mean")
@@ -31,23 +32,23 @@ class InitSpec:
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
+            raise InputError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
         if self.eta < 0.0:
-            raise ValueError("eta must be non-negative")
+            raise InputError("eta must be non-negative")
         if self.count < 1:
-            raise ValueError("count must be at least 1")
+            raise InputError("count must be at least 1")
         if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+            raise InputError("seed must be a non-negative integer")
         if self.scheme == "external-mean":
             if self.mean is None:
-                raise ValueError("external-mean scheme needs a mean vector")
+                raise InputError("external-mean scheme needs a mean vector")
             m = np.asarray(self.mean, dtype=np.float64)
             if m.ndim != 1 or ((m < 0.0) | (m > 1.0)).any():
-                raise ValueError("mean entries must lie in [0, 1]")
+                raise InputError("mean entries must lie in [0, 1]")
             m.setflags(write=False)
             object.__setattr__(self, "mean", m)
         elif self.mean is not None:
-            raise ValueError(f"{self.scheme!r} scheme does not take a mean vector")
+            raise InputError(f"{self.scheme!r} scheme does not take a mean vector")
 
 
 def _rng(seed: int, k: int) -> np.random.Generator:
@@ -144,9 +145,12 @@ def gaussian_around_mean(mean, spec: InitSpec) -> list[np.ndarray]:
 
 def load_mean_file(path) -> np.ndarray:
     """Plain-text mean vector, one real per line."""
-    values = np.atleast_1d(np.loadtxt(path, dtype=np.float64))
+    try:
+        values = np.atleast_1d(np.loadtxt(path, dtype=np.float64))
+    except ValueError as exc:
+        raise InputError(f"mean file {path}: {exc}") from None
     if values.ndim != 1:
-        raise ValueError("expected one real per line")
+        raise InputError("expected one real per line")
     if ((values < 0.0) | (values > 1.0)).any():
-        raise ValueError("mean entries must lie in [0, 1]")
+        raise InputError("mean entries must lie in [0, 1]")
     return values

@@ -89,15 +89,35 @@ def gradient(g: Graph, p: ObjectiveParams, x) -> np.ndarray:
 def gradient_columns(g: Graph, p: ObjectiveParams, X: np.ndarray) -> np.ndarray:
     """Gradient of every column of an (n, k) matrix at once.
 
-    Column j of the result depends only on column j of X; the batched form
-    exists so the solver can amortize the sparse matvec.
+    Column j of the result depends only on column j of X, bit for bit: the
+    same column gives the same gradient in a block of any width or layout.
+    The batched form exists so the solver can amortize the sparse matvec.
     """
     if X.ndim != 2 or X.shape[0] != g.n:
         raise DimensionError(f"expected (n, k) matrix with n={g.n}, got {X.shape}")
+    # (gamma + 1) A X - sum(X) + X - 1, evaluated in place left to right
     AX = g.adjacency_csr().dot(X)
     if p.complement_term_enabled:
-        return (p.gamma + 1.0) * AX - X.sum(axis=0) + X - 1.0
-    return p.gamma * AX - 1.0
+        AX *= p.gamma + 1.0
+        AX -= _column_sums(X)
+        AX += X
+    else:
+        AX *= p.gamma
+    AX -= 1.0
+    return AX
+
+
+def _column_sums(X: np.ndarray) -> np.ndarray:
+    """Sums of the columns of X, each added row by row from the top.
+
+    numpy adds row by row only for a C-ordered array at least two columns
+    wide; a single column or an F-ordered one is summed pairwise, which
+    rounds differently. Adding in one fixed order makes every column's sum
+    independent of the width and layout of the matrix it sits in.
+    """
+    if X.shape[1] == 1 and X.shape[0] > 0:
+        return np.cumsum(X, axis=0)[-1]
+    return np.ascontiguousarray(X).sum(axis=0)
 
 
 def gamma_floor_wei(g: Graph) -> int:

@@ -1,10 +1,16 @@
 """Batched projected Adam over the box [0,1]^n with per-run early stop.
 
 Scheduling never touches numerics: work is issued in fixed 32-column
-blocks whose shapes depend only on the batch size, so every float
+blocks whose spans depend only on the batch size, so every float
 reduction sees identical operands no matter how many workers run or in
 what order blocks finish. solve() is therefore bitwise reproducible
 across worker counts, which the test suite pins.
+
+Inside a block the kernel works on live columns only. A column that has
+certified or gone non-finite is dropped, and only columns whose
+thresholded support changed since the last check are checked again.
+Each column's arithmetic is the same whatever the width of the block it
+sits in, so dropping columns changes no result.
 """
 
 from __future__ import annotations
@@ -17,7 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checker import fast_mis_check, fast_mis_check_batch, threshold
+from . import checker
+from .checker import fast_mis_check, threshold
+from .checker import fast_mis_check_batch  # noqa: F401  (perfbench/tracer.py wraps this name)
+from .errors import InputError
 from .graph import Graph, NodeSet
 from .initialization import InitSpec, initial_mean, sample_around, sample_block
 from .objective import DimensionError, ObjectiveParams, evaluate, gradient, gradient_columns
@@ -90,11 +99,11 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+            raise InputError("alpha must be positive")
         if self.iterations < 1 or self.batch_size < 1 or self.batch_count < 1:
-            raise ValueError("iterations, batch_size and batch_count must be >= 1")
+            raise InputError("iterations, batch_size and batch_count must be >= 1")
         if self.time_limit is not None and self.time_limit <= 0.0:
-            raise ValueError("time_limit must be positive when set")
+            raise InputError("time_limit must be positive when set")
         self.params()
         self.init_spec()
 
@@ -176,39 +185,82 @@ def _run_block(g, p, X, start, iterations, alpha):
     """Evolve the starts in the columns of X together; the solver kernel.
 
     Column j is initialization start + j. Returns (found, failures, width)
-    where found[j] is None or (init index, member tuple, iteration). All
-    shapes depend only on the width of X, never on scheduling.
+    where found[j] is None or (init index, member tuple, iteration). X is
+    left unchanged.
+
+    Work goes to live columns only: a column that certifies or whose
+    gradient goes non-finite is dropped from the iterate and both moment
+    matrices, and `cols` maps each remaining column back to its place in
+    X. After each update only the live columns whose thresholded support
+    changed are checked; the check is a pure function of that support, so
+    an unchanged one is known to fail again. Every column sees exactly the
+    arithmetic it would see in the full block (gradient_columns is
+    width-invariant bit for bit), so results do not depend on which other
+    columns are still live, nor on scheduling.
     """
     width = X.shape[1]
+    X = np.array(X, dtype=np.float64, order="C")  # updated in place below
     M1 = np.zeros_like(X)
     M2 = np.zeros_like(X)
-    pending = np.ones(width, dtype=bool)
+    cols = np.arange(width)
+    Z = np.zeros(X.shape, dtype=bool)  # support of the live columns at the last check
     found: list[tuple[int, tuple[int, ...], int] | None] = [None] * width
     failures = 0
     for t in range(1, iterations + 1):
         G = gradient_columns(g, p, X)
         finite = np.isfinite(G).all(axis=0)
         if not finite.all():
-            failures += int((pending & ~finite).sum())
-            pending &= finite
-            if not pending.any():
+            failures += int((~finite).sum())
+            cols = cols[finite]
+            if cols.size == 0:
                 break
-            G = np.where(finite, G, 0.0)  # keep downstream math finite
-        M1 = BETA1 * M1 + (1.0 - BETA1) * G
-        M2 = BETA2 * M2 + (1.0 - BETA2) * G * G
-        mhat = M1 / (1.0 - BETA1**t)
-        vhat = M2 / (1.0 - BETA2**t)
-        X = np.clip(X - alpha * mhat / (np.sqrt(vhat) + EPS), 0.0, 1.0)
-        Z = (X > 0.0).astype(np.float64)
-        ok = fast_mis_check_batch(g, p, Z) & pending
+            X, M1, M2, G, Z = _keep(finite, X, M1, M2, G, Z)
+        _adam_update(X, M1, M2, G, t, alpha)
+        Znew = X > 0.0
+        changed = (Znew != Z).any(axis=0) if t > 1 else np.ones(cols.size, dtype=bool)
+        Z = Znew
+        if not changed.any():
+            continue
+        ok = np.zeros(cols.size, dtype=bool)
+        ok[changed] = checker.fast_mis_check_batch(g, p, np.compress(changed, Z, axis=1).astype(np.float64))
         if ok.any():
             for c in np.flatnonzero(ok):
-                members = tuple(int(v) for v in np.flatnonzero(Z[:, c]))
-                found[c] = (start + int(c), members, t)
-            pending &= ~ok
-            if not pending.any():
+                j = int(cols[c])
+                found[j] = (start + j, tuple(int(v) for v in np.flatnonzero(Z[:, c])), t)
+            live = ~ok
+            cols = cols[live]
+            if cols.size == 0:
                 break
+            X, M1, M2, Z = _keep(live, X, M1, M2, Z)
     return found, failures, width
+
+
+def _keep(mask, *arrays):
+    """The columns of each array that mask selects, as C-ordered copies."""
+    return [np.compress(mask, a, axis=1) for a in arrays]
+
+
+def _adam_update(X, M1, M2, G, t, alpha):
+    """One bias-corrected Adam step with clipping to the box, in place.
+
+    Same operations in the same order as adam_step, so the bits match;
+    G is used as scratch.
+    """
+    M1 *= BETA1
+    T = G * (1.0 - BETA1)
+    M1 += T
+    M2 *= BETA2
+    np.multiply(G, 1.0 - BETA2, out=T)
+    T *= G
+    M2 += T
+    np.divide(M1, 1.0 - BETA1**t, out=T)  # mhat
+    T *= alpha
+    np.divide(M2, 1.0 - BETA2**t, out=G)  # vhat
+    np.sqrt(G, out=G)
+    G += EPS
+    T /= G
+    X -= T
+    np.clip(X, 0.0, 1.0, out=X)
 
 
 def _resolve_workers(workers) -> int:
@@ -225,8 +277,10 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
     set of earlier blocks (see RESTART_LAG), so at most RESTART_LAG of them
     run at once. Results are merged in initialization order, so equal-size
     sets resolve to the lowest initialization index. The optional time
-    limit is checked at batch boundaries only (cooperative: a started batch
-    always finishes).
+    limit is checked before every batch and before every block starts: a
+    block that would start after the deadline is skipped and not counted,
+    but a started block always finishes, so a solve can overrun the limit
+    by up to one block's run time.
     """
     t0 = time.perf_counter()
     p = cfg.params()
@@ -240,7 +294,11 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
     failures = 0
     trace: list[tuple[float, int]] = []
 
+    deadline = None if cfg.time_limit is None else t0 + cfg.time_limit
+
     def run_span(span, around: NodeSet | None):
+        if deadline is not None and time.perf_counter() >= deadline:
+            return None
         if around is None:
             X = sample_block(g.n, spec, mean, span[0], span[1])
         else:
@@ -251,6 +309,8 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
 
     def merge(result):
         nonlocal best, found_count, completed, failures
+        if result is None:  # skipped at the deadline
+            return
         found, nfail, width = result
         failures += nfail
         completed += width - nfail
@@ -264,7 +324,7 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
 
     with ThreadPoolExecutor(max_workers=nworkers) as executor:
         for b in range(cfg.batch_count):
-            if cfg.time_limit is not None and time.perf_counter() - t0 >= cfg.time_limit:
+            if deadline is not None and time.perf_counter() >= deadline:
                 break
             lo = b * cfg.batch_size
             in_flight: deque[Future] = deque()

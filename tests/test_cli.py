@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import quadmis.cli as cli
 from quadmis import Graph, write_edge_list
 from quadmis.cli import main
 
@@ -85,6 +86,40 @@ def test_workers_env_override(graph_file, capsys, monkeypatch):
     monkeypatch.setenv("QUADMIS_WORKERS", "2")
     assert main(["solve", graph_file, "--gamma", "n", "--iters", "20", "--batch-size", "4"]) == 0
     capsys.readouterr()
+
+
+def test_workers_env_rejects_junk(graph_file, capsys, monkeypatch):
+    monkeypatch.setenv("QUADMIS_WORKERS", "many")
+    assert main(["solve", graph_file, "--iters", "5", "--batch-size", "2"]) == 2
+    assert "QUADMIS_WORKERS" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_bad_input(graph_file, monkeypatch):
+    # a ValueError from inside the program is a fault, not bad input: it
+    # must surface with its traceback instead of becoming exit code 2
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "solve", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["solve", graph_file, "--iters", "5", "--batch-size", "2"])
+
+
+def test_setting_errors_exit_2(tmp_path, graph_file, capsys):
+    bad_suite = tmp_path / "bad.json"
+    bad_suite.write_text("{not json")
+    list_suite = tmp_path / "list.json"
+    list_suite.write_text("[]")
+    for argv in (
+        ["solve", graph_file, "--lr", "-1"],
+        ["solve", graph_file, "--eta", "-1", "--init", "degree"],
+        ["gen", "er", "--n", "12", "--p", "1.5"],
+        ["check", graph_file, "--set", "0,x"],
+        ["bench", str(bad_suite)],
+        ["bench", str(list_suite)],
+    ):
+        assert main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err
 
 
 def test_gen_gnm_and_dimacs(tmp_path, capsys):

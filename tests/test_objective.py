@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from quadmis import (
     DimensionError,
+    gen_er,
     Graph,
     InvalidGamma,
     ObjectiveParams,
@@ -91,6 +92,22 @@ def test_gradient_columns_matches_loop(g, k, seed):
     # so agreement is to roundoff, not bitwise
     for j in range(k):
         np.testing.assert_allclose(cols[:, j], gradient(g, p, X[:, j]), rtol=1e-12, atol=1e-12)
+
+
+def test_gradient_columns_width_invariant():
+    # a column's gradient must not depend on the block around it: the
+    # solver drops finished columns and relies on the same bits for the rest
+    g = gen_er(700, 0.15, 0)
+    X = np.random.default_rng(3).random((g.n, 32))
+    for p in (ObjectiveParams(700.0), ObjectiveParams(700.0, complement_term_enabled=False)):
+        full = gradient_columns(g, p, X)
+        rng = np.random.default_rng(4)
+        for width in range(1, 33):
+            idx = np.sort(rng.choice(32, size=width, replace=False))
+            fancy = X[:, idx]  # F-ordered for width > 1
+            for sub in (fancy, np.ascontiguousarray(fancy), np.asfortranarray(fancy)):
+                got = gradient_columns(g, p, sub)
+                assert np.array_equal(got, full[:, idx]), (width, sub.flags.c_contiguous)
 
 
 def test_wei_floor_values(fig1):

@@ -1,4 +1,6 @@
+import zlib
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +19,99 @@ from quadmis import (
     run_single,
     solve,
 )
+
+
+def _frozen_gradient_columns(g, p, X):
+    AX = g.adjacency_csr().dot(X)
+    if p.complement_term_enabled:
+        return (p.gamma + 1.0) * AX - X.sum(axis=0) + X - 1.0
+    return p.gamma * AX - 1.0
+
+
+def _frozen_run_block(g, p, X, start, iterations, alpha, grad=_frozen_gradient_columns):
+    """The full-width kernel the live-column one replaced, kept as the
+    reference: every column is updated and checked on every iteration."""
+    width = X.shape[1]
+    M1 = np.zeros_like(X)
+    M2 = np.zeros_like(X)
+    pending = np.ones(width, dtype=bool)
+    found = [None] * width
+    failures = 0
+    for t in range(1, iterations + 1):
+        G = grad(g, p, X)
+        finite = np.isfinite(G).all(axis=0)
+        if not finite.all():
+            failures += int((pending & ~finite).sum())
+            pending &= finite
+            if not pending.any():
+                break
+            G = np.where(finite, G, 0.0)
+        M1 = opt.BETA1 * M1 + (1.0 - opt.BETA1) * G
+        M2 = opt.BETA2 * M2 + (1.0 - opt.BETA2) * G * G
+        mhat = M1 / (1.0 - opt.BETA1**t)
+        vhat = M2 / (1.0 - opt.BETA2**t)
+        X = np.clip(X - alpha * mhat / (np.sqrt(vhat) + opt.EPS), 0.0, 1.0)
+        Z = (X > 0.0).astype(np.float64)
+        AZ = _frozen_gradient_columns(g, p, Z)
+        ok = ~np.where(Z == 1.0, AZ > 0.0, AZ < 0.0).any(axis=0) & pending
+        if ok.any():
+            for c in np.flatnonzero(ok):
+                found[c] = (start + int(c), tuple(int(v) for v in np.flatnonzero(Z[:, c])), t)
+            pending &= ~ok
+            if not pending.any():
+                break
+    return found, failures, width
+
+
+def _poisoned(grad, at_call):
+    # at the given call, columns whose bytes have an odd CRC go non-finite;
+    # a function of the column alone, so both kernels poison the same runs
+    # at the same iteration
+    calls = [0]
+
+    def poisoned(g, p, X):
+        calls[0] += 1
+        G = grad(g, p, X)
+        if calls[0] == at_call:
+            for j in range(X.shape[1]):
+                if zlib.crc32(np.ascontiguousarray(X[:, j]).tobytes()) % 2:
+                    G[:, j] = np.nan
+        return G
+
+    return poisoned
+
+
+KERNEL_CASES = [
+    # (name, graph, params, width, iterations, alpha)
+    ("er", gen_er(200, 0.1, 1), ObjectiveParams(200.0), opt.CHUNK, 150, 0.6),
+    ("dense-gnm", gen_gnm(120, 3570, 2), ObjectiveParams(120.0), opt.CHUNK, 350, 0.5),
+    ("sparse", gen_er(400, 0.01, 3), ObjectiveParams(775.0), opt.CHUNK, 50, 0.9),
+    ("partial", gen_er(200, 0.1, 4), ObjectiveParams(200.0), 7, 150, 0.6),
+    ("no-complement", gen_er(150, 0.1, 5), ObjectiveParams(1.5, False), opt.CHUNK, 200, 0.5),
+]
+
+
+@pytest.mark.parametrize("name,g,p,width,iterations,alpha", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_kernel_matches_full_width_reference(name, g, p, width, iterations, alpha):
+    X = np.random.default_rng(width).random((g.n, width))
+    before = X.copy()
+    got = opt._run_block(g, p, X, 64, iterations, alpha)
+    assert np.array_equal(X, before)  # input untouched
+    assert got == _frozen_run_block(g, p, X, 64, iterations, alpha)
+    assert any(item is not None for item in got[0])
+
+
+def test_kernel_matches_reference_with_partial_poison(monkeypatch):
+    g = gen_er(200, 0.1, 1)
+    p = ObjectiveParams(200.0)
+    X = np.random.default_rng(0).random((g.n, opt.CHUNK))
+    want = _frozen_run_block(g, p, X, 0, 150, 0.6, grad=_poisoned(_frozen_gradient_columns, 80))
+    monkeypatch.setattr(opt, "gradient_columns", _poisoned(opt.gradient_columns, 80))
+    got = opt._run_block(g, p, X, 0, 150, 0.6)
+    assert got == want
+    found, failures, width = got
+    certified = sum(item is not None for item in found)
+    assert 0 < failures < width and certified > 0
 
 
 def complete_graph(n):
@@ -171,6 +266,27 @@ def test_time_limit_skips_batches(fig1):
     rep = solve(fig1, cfg, workers=1)
     assert rep.runs_completed == 0
     assert rep.best is None
+
+
+def test_time_limit_skips_blocks(fig1, monkeypatch):
+    # a fake clock that each block advances by 10 s: with a 5 s limit the
+    # first block runs, the two after it in the same batch are skipped
+    clock = [0.0]
+    monkeypatch.setattr(opt, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    run_block = opt._run_block
+
+    def slow_block(*args):
+        clock[0] += 10.0
+        return run_block(*args)
+
+    monkeypatch.setattr(opt, "_run_block", slow_block)
+    cfg = SolverConfig(
+        gamma=5.0, alpha=0.5, iterations=10, batch_size=3 * opt.CHUNK, batch_count=2,
+        seed=0, time_limit=5.0,
+    )
+    rep = solve(fig1, cfg, workers=1)
+    assert rep.runs_completed == opt.CHUNK
+    assert len(rep.trace) == 1
 
 
 def test_config_validation():
