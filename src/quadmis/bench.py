@@ -7,6 +7,7 @@ than aborting the rest.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ from .generators import gen_er, gen_gnm, gnm_edge_count
 from .graph import Graph
 from .graph_io import load_graph
 from .objective import gamma_select
-from .optimizer import SolveReport, SolverConfig, solve
+from .optimizer import SolveReport, SolverConfig, _resolve_workers, solve
 
 # Named hyperparameter bundles for the benchmark families this solver
 # targets. gamma is a selection mode resolved per graph.
@@ -36,20 +37,8 @@ PRESETS: dict[str, dict] = {
     ),
 }
 
-_DEFAULTS = dict(
-    gamma="strict-n",
-    alpha=0.5,
-    iterations=350,
-    batch_size=64,
-    batch_count=1,
-    init_scheme="random",
-    eta=2.25,
-    seed=0,
-    time_limit=None,
-    complement_term_enabled=True,
-    mean=None,
-    include_mean_as_first=True,
-)
+# SolverConfig's own defaults, with gamma as a selection mode.
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverConfig)} | {"gamma": "strict-n"}
 
 
 def resolve_config(g: Graph, preset: str | None = None, **overrides) -> SolverConfig:
@@ -135,7 +124,11 @@ def _materialize(inst: BenchInstance) -> Graph:
 
 
 def bench_suite(suite: BenchSuite, workers: int | None = None) -> BenchSummary:
-    """Solve every instance in order; errors become rows, the suite goes on."""
+    """Solve every instance in order; errors become rows, the suite goes on.
+
+    A bad worker count is a setting of the whole suite and raises at once.
+    """
+    workers = _resolve_workers(workers)
     rows: list[BenchRow] = []
     reports: list[SolveReport] = []
     for inst in suite.instances:

@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph, NodeSet
-from .objective import DimensionError, ObjectiveParams, gradient, gradient_columns
+from .objective import ObjectiveParams, _as_assignment, gradient_columns
+from .objective import gradient  # noqa: F401  (perfbench/tracer.py wraps this name)
 
 
 class ContractViolation(ValueError):
@@ -46,12 +47,9 @@ def fast_mis_check(g: Graph, p: ObjectiveParams, z) -> bool:
     below that regime the test is still well defined but may accept
     vectors that a maximality scan rejects.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = _as_assignment(g, z)
     _require_binary(z)
-    grad = gradient(g, p, z)
-    ones = z == 1.0
-    bad = np.where(ones, grad > 0.0, grad < 0.0)
-    return not bool(bad.any())
+    return bool(fast_mis_check_batch(g, p, z[:, None])[0])
 
 
 def fast_mis_check_batch(g: Graph, p: ObjectiveParams, Z: np.ndarray) -> np.ndarray:
@@ -70,9 +68,7 @@ def direct_mis_check(g: Graph, z) -> bool:
     A member node must have no member neighbors; a non-member node must
     have at least one, otherwise it could be added.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (g.n,):
-        raise DimensionError(f"expected length-{g.n} vector, got shape {z.shape}")
+    z = _as_assignment(g, z)
     _require_binary(z)
     in_set = z > 0.5
     for v in range(g.n):

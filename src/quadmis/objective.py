@@ -74,16 +74,13 @@ def evaluate(g: Graph, p: ObjectiveParams, x) -> float:
 
 
 def gradient(g: Graph, p: ObjectiveParams, x) -> np.ndarray:
-    """Gradient at x.
+    """Gradient at x: gradient_columns on x as a single column.
 
     With the complement term: -1 + (gamma + 1) A x - (sum(x) - x).
     Without it: -1 + gamma A x.
     """
     x = _as_assignment(g, x)
-    ax = g.adjacency_csr().dot(x)
-    if p.complement_term_enabled:
-        return (p.gamma + 1.0) * ax - x.sum() + x - 1.0
-    return p.gamma * ax - 1.0
+    return gradient_columns(g, p, x[:, None])[:, 0]
 
 
 def gradient_columns(g: Graph, p: ObjectiveParams, X: np.ndarray) -> np.ndarray:

@@ -10,7 +10,9 @@ Inside a block the kernel works on live columns only. A column that has
 certified or gone non-finite is dropped, and only columns whose
 thresholded support changed since the last check are checked again.
 Each column's arithmetic is the same whatever the width of the block it
-sits in, so dropping columns changes no result.
+sits in, so dropping columns changes no result. The scalar entry points
+(adam_step, run_resampling) are width-1 calls into the same update and
+kernel.
 """
 
 from __future__ import annotations
@@ -139,9 +141,10 @@ class SolveReport:
 def adam_step(g: Graph, p: ObjectiveParams, x, st: AdamState, alpha: float) -> np.ndarray:
     """One bias-corrected Adam update followed by a box projection.
 
-    st is advanced in place. Raises NumericalError if the gradient is not
-    finite (cannot happen while x stays inside the box, but the guard is
-    part of the contract).
+    The kernel's update (_adam_update) on x as a single column; st is
+    advanced in place and x is left unchanged. Raises NumericalError if
+    the gradient is not finite (cannot happen while x stays inside the
+    box, but the guard is part of the contract).
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
@@ -149,12 +152,9 @@ def adam_step(g: Graph, p: ObjectiveParams, x, st: AdamState, alpha: float) -> n
     if not np.isfinite(grad).all():
         raise NumericalError("non-finite gradient")
     st.step += 1
-    t = st.step
-    st.m1 = BETA1 * st.m1 + (1.0 - BETA1) * grad
-    st.m2 = BETA2 * st.m2 + (1.0 - BETA2) * grad * grad
-    mhat = st.m1 / (1.0 - BETA1**t)
-    vhat = st.m2 / (1.0 - BETA2**t)
-    return np.clip(x - alpha * mhat / (np.sqrt(vhat) + EPS), 0.0, 1.0)
+    x = np.array(x, dtype=np.float64)
+    _adam_update(x[:, None], st.m1[:, None], st.m2[:, None], grad[:, None], st.step, alpha)
+    return x
 
 
 def run_single(g: Graph, p: ObjectiveParams, x0, iterations: int, alpha: float) -> RunOutcome:
@@ -243,8 +243,8 @@ def _keep(mask, *arrays):
 def _adam_update(X, M1, M2, G, t, alpha):
     """One bias-corrected Adam step with clipping to the box, in place.
 
-    Same operations in the same order as adam_step, so the bits match;
-    G is used as scratch.
+    The one copy of the update: _run_block calls it on a block, adam_step
+    on a single column. G is used as scratch.
     """
     M1 *= BETA1
     T = G * (1.0 - BETA1)
@@ -264,9 +264,12 @@ def _adam_update(X, M1, M2, G, t, alpha):
 
 
 def _resolve_workers(workers) -> int:
+    """The worker count to use: the CPU count when None; below 1 is bad input."""
     if workers is None:
         return os.cpu_count() or 1
-    return max(1, int(workers))
+    if int(workers) < 1:
+        raise InputError(f"worker count must be at least 1, got {workers}")
+    return int(workers)
 
 
 def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str = "") -> SolveReport:
@@ -367,23 +370,27 @@ def run_resampling(g: Graph, p: ObjectiveParams, iterations: int, alpha: float, 
     Every time the current point certifies as a maximal independent set it
     is recorded, a fresh uniform start replaces it, and the optimizer
     state resets. The budget counts total gradient steps across restarts.
-    Useful for measuring how quickly an objective variant reaches fixed
-    points.
+    Each run is a width-1 block of the solver kernel; start k is
+    initialization k of the random scheme. Useful for measuring how
+    quickly an objective variant reaches fixed points.
     """
-    draw = 0
-    x = np.random.default_rng([seed, draw]).random(g.n)
-    st = AdamState.fresh(g.n)
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
+    spec = InitSpec("random", seed=seed)
     sizes: list[int] = []
     best: NodeSet | None = None
-    for _ in range(iterations):
-        x = adam_step(g, p, x, st, alpha)
-        z = threshold(x)
-        if fast_mis_check(g, p, z):
-            members = tuple(int(v) for v in np.flatnonzero(z))
-            sizes.append(len(members))
-            if best is None or len(members) > best.size:
-                best = NodeSet(members)
-            draw += 1
-            x = np.random.default_rng([seed, draw]).random(g.n)
-            st = AdamState.fresh(g.n)
+    used = 0
+    while used < iterations:
+        k = len(sizes)  # every run before this one certified
+        X = sample_block(g.n, spec, None, k, k + 1)
+        (item,), nfail, _ = _run_block(g, p, X, k, iterations - used, alpha)
+        if nfail:
+            raise NumericalError("non-finite gradient")
+        if item is None:  # budget spent without a certificate
+            break
+        _, members, t = item
+        used += t
+        sizes.append(len(members))
+        if best is None or len(members) > best.size:
+            best = NodeSet(members)
     return ResampleOutcome(found_sizes=sizes, best=best, iterations=iterations)

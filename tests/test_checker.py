@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadmis import ContractViolation, Graph, ObjectiveParams, direct_mis_check, fast_mis_check, support, threshold
+from quadmis import ContractViolation, DimensionError, Graph, ObjectiveParams, direct_mis_check, fast_mis_check, support, threshold
 from quadmis.checker import fast_mis_check_batch
 
 from conftest import brute_maximal_masks, graph_inputs
@@ -40,6 +40,14 @@ def test_nonbinary_rejected(fig1):
         fast_mis_check(fig1, ObjectiveParams(5.0), np.full(5, 0.5))
     with pytest.raises(ContractViolation):
         direct_mis_check(fig1, np.full(5, 0.5))
+
+
+def test_wrong_shape_rejected(fig1):
+    p = ObjectiveParams(5.0)
+    with pytest.raises(DimensionError):
+        fast_mis_check(fig1, p, np.ones(4))
+    with pytest.raises(DimensionError):
+        fast_mis_check(fig1, p, np.ones((5, 1)))
 
 
 def test_support(fig1):

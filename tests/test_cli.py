@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import quadmis.cli as cli
+import quadmis.optimizer as opt
 from quadmis import Graph, write_edge_list
 from quadmis.cli import main
 
@@ -92,6 +93,23 @@ def test_workers_env_rejects_junk(graph_file, capsys, monkeypatch):
     monkeypatch.setenv("QUADMIS_WORKERS", "many")
     assert main(["solve", graph_file, "--iters", "5", "--batch-size", "2"]) == 2
     assert "QUADMIS_WORKERS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_workers_below_one_rejected(tmp_path, graph_file, capsys, monkeypatch, count):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"config": {"batch_size": 2}, "instances": [{"gnm": [10]}]}))
+    assert main(["solve", graph_file, "--iters", "5", "--batch-size", "2", "--workers", count]) == 2
+    assert main(["bench", str(suite), "--workers", count]) == 2
+    monkeypatch.setenv("QUADMIS_WORKERS", count)
+    assert main(["solve", graph_file, "--iters", "5", "--batch-size", "2"]) == 2
+    assert "worker count" in capsys.readouterr().err
+
+
+def test_numerical_failure_exits_3(graph_file, capsys, monkeypatch):
+    # no run certified and some went non-finite
+    monkeypatch.setattr(opt, "gradient_columns", lambda g, p, X: np.full(X.shape, np.nan))
+    assert main(["solve", graph_file, "--iters", "5", "--batch-size", "2"]) == 3
 
 
 def test_internal_value_error_is_not_bad_input(graph_file, monkeypatch):

@@ -300,6 +300,101 @@ def test_config_validation():
         SolverConfig(gamma=5.0, init_scheme="external-mean")  # mean missing
 
 
+def _frozen_gradient(g, p, x):
+    # the sum of x added row by row, as the kernel adds every column
+    ax = g.adjacency_csr().dot(x)
+    if p.complement_term_enabled:
+        return (p.gamma + 1.0) * ax - np.cumsum(x)[-1] + x - 1.0
+    return p.gamma * ax - 1.0
+
+
+def _frozen_adam(x, m1, m2, grad, t, alpha):
+    m1 = opt.BETA1 * m1 + (1.0 - opt.BETA1) * grad
+    m2 = opt.BETA2 * m2 + (1.0 - opt.BETA2) * grad * grad
+    mhat = m1 / (1.0 - opt.BETA1**t)
+    vhat = m2 / (1.0 - opt.BETA2**t)
+    return np.clip(x - alpha * mhat / (np.sqrt(vhat) + opt.EPS), 0.0, 1.0), m1, m2
+
+
+def _frozen_run_resampling(g, p, iterations, alpha, seed):
+    """The scalar step-and-check loop that run_resampling replaced, kept as
+    the reference: one Adam step, threshold and sign test per iteration.
+    Also returns the total step count at each certificate."""
+    draw = 0
+    x = np.random.default_rng([seed, draw]).random(g.n)
+    m1, m2, t = np.zeros(g.n), np.zeros(g.n), 0
+    sizes, best, ends = [], None, []
+    for used in range(1, iterations + 1):
+        t += 1
+        x, m1, m2 = _frozen_adam(x, m1, m2, _frozen_gradient(g, p, x), t, alpha)
+        z = (x > 0.0).astype(np.float64)
+        gz = _frozen_gradient(g, p, z)
+        if not np.where(z == 1.0, gz > 0.0, gz < 0.0).any():
+            members = tuple(int(v) for v in np.flatnonzero(z))
+            sizes.append(len(members))
+            ends.append(used)
+            if best is None or len(members) > len(best):
+                best = members
+            draw += 1
+            x = np.random.default_rng([seed, draw]).random(g.n)
+            m1, m2, t = np.zeros(g.n), np.zeros(g.n), 0
+    return sizes, best, ends
+
+
+RESAMPLING_CASES = [
+    # (name, graph, params, iterations, seed); the last two are criterion 7's
+    # arms on its first instance at its full budget (at 2,000 steps the
+    # reward-off arm certifies nothing)
+    ("gnm30", gen_gnm(30, 200, 5), ObjectiveParams(30.0), 300, 9),
+    ("reward-on", gen_gnm(100, 2475, 0), ObjectiveParams(100.0), 10_000, 7000),
+    ("reward-off", gen_gnm(100, 2475, 0), ObjectiveParams(1.0001, False), 10_000, 7000),
+]
+
+
+@pytest.mark.parametrize("name,g,p,iterations,seed", RESAMPLING_CASES, ids=[c[0] for c in RESAMPLING_CASES])
+def test_resampling_matches_scalar_reference(name, g, p, iterations, seed):
+    out = run_resampling(g, p, iterations=iterations, alpha=0.5, seed=seed)
+    sizes, best, _ = _frozen_run_resampling(g, p, iterations, 0.5, seed)
+    assert sizes and out.found_sizes == sizes
+    assert out.best is not None and out.best.members == best
+    assert out.iterations == iterations
+
+
+def test_resampling_budget_counts_every_step():
+    # a budget that ends on the third certificate's last step finds three
+    # sets; one step less finds two
+    g, p = gen_gnm(30, 200, 5), ObjectiveParams(30.0)
+    ends = _frozen_run_resampling(g, p, 300, 0.5, 9)[2]
+    assert len(run_resampling(g, p, ends[2], 0.5, 9).found_sizes) == 3
+    assert len(run_resampling(g, p, ends[2] - 1, 0.5, 9).found_sizes) == 2
+
+
+def test_adam_step_matches_scalar_reference():
+    g = gen_gnm(30, 200, 5)
+    p = ObjectiveParams(30.0)
+    x = np.random.default_rng(3).random(g.n)
+    st = AdamState.fresh(g.n)
+    m1, m2 = np.zeros(g.n), np.zeros(g.n)
+    for t in range(1, 41):
+        before = x.copy()
+        got = adam_step(g, p, x, st, alpha=0.5)
+        assert np.array_equal(x, before)  # input untouched
+        x, m1, m2 = _frozen_adam(x, m1, m2, _frozen_gradient(g, p, x), t, 0.5)
+        assert np.array_equal(got, x)
+        assert np.array_equal(st.m1, m1) and np.array_equal(st.m2, m2) and st.step == t
+
+
+def test_resampling_raises_on_nan(fig1, monkeypatch):
+    monkeypatch.setattr(opt, "gradient_columns", lambda g, p, X: np.full(X.shape, np.nan))
+    with pytest.raises(NumericalError):
+        run_resampling(fig1, ObjectiveParams(5.0), iterations=10, alpha=0.5, seed=0)
+
+
+def test_resampling_rejects_bad_alpha(fig1):
+    with pytest.raises(ValueError):
+        run_resampling(fig1, ObjectiveParams(5.0), iterations=10, alpha=0.0, seed=0)
+
+
 def test_resampling_restarts():
     g = complete_graph(4)
     out = run_resampling(g, ObjectiveParams(4.0), iterations=400, alpha=0.5, seed=1)
