@@ -9,9 +9,7 @@ set.
 from .bench import (
     PRESETS,
     BenchInstance,
-    BenchRow,
     BenchSuite,
-    BenchSummary,
     bench_suite,
     parse_suite,
     resolve_config,
@@ -35,14 +33,7 @@ from .graph_io import (
     write_edge_list,
     write_report,
 )
-from .initialization import (
-    DegenerateDegreeMean,
-    InitSpec,
-    degree_mean,
-    gaussian_around_mean,
-    load_mean_file,
-    random_init,
-)
+from .initialization import DegenerateDegreeMean, InitSpec, degree_mean
 from .objective import (
     DimensionError,
     InvalidGamma,
@@ -55,24 +46,20 @@ from .objective import (
 from .optimizer import (
     AdamState,
     NumericalError,
-    RunOutcome,
-    SolveReport,
     SolverConfig,
     adam_step,
     run_resampling,
     run_single,
     solve,
 )
-from .oracle import OracleResult, TooLarge, exact_mis, greedy_min_degree
+from .oracle import TooLarge, exact_mis, greedy_min_degree
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdamState",
     "BenchInstance",
-    "BenchRow",
     "BenchSuite",
-    "BenchSummary",
     "ContractViolation",
     "DegenerateDegreeMean",
     "DimensionError",
@@ -84,11 +71,8 @@ __all__ = [
     "NodeSet",
     "NumericalError",
     "ObjectiveParams",
-    "OracleResult",
     "ParseError",
     "PRESETS",
-    "RunOutcome",
-    "SolveReport",
     "SolverConfig",
     "TooLarge",
     "adam_step",
@@ -100,18 +84,15 @@ __all__ = [
     "fast_mis_check",
     "gamma_floor_wei",
     "gamma_select",
-    "gaussian_around_mean",
     "gen_er",
     "gen_gnm",
     "gnm_edge_count",
     "gradient",
     "greedy_min_degree",
     "load_graph",
-    "load_mean_file",
     "parse_dimacs",
     "parse_edge_list",
     "parse_suite",
-    "random_init",
     "resolve_config",
     "run_resampling",
     "run_single",

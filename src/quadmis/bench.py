@@ -2,12 +2,15 @@
 
 A suite is a list of generated or file-based instances plus one solver
 configuration; instances run sequentially and failures become rows rather
-than aborting the rest.
+than aborting the rest. Each row also carries the min-degree greedy size of
+the same graph as a baseline.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -19,6 +22,7 @@ from .graph import Graph
 from .graph_io import load_graph
 from .objective import gamma_select
 from .optimizer import SolveReport, SolverConfig, _resolve_workers, solve
+from .oracle import greedy_min_degree
 
 # Named hyperparameter bundles for the benchmark families this solver
 # targets. gamma is a selection mode resolved per graph.
@@ -99,6 +103,7 @@ class BenchRow:
     n: int
     m: int
     best_size: int
+    greedy_size: int
     mis_found_count: int
     wall_time_ms: float
     error: str = ""
@@ -108,6 +113,7 @@ class BenchRow:
 class BenchSummary:
     rows: list[BenchRow]
     mean_best: float | None
+    mean_greedy: float | None
     total_wall_ms: float
     reports: list[SolveReport] = field(default_factory=list)
 
@@ -139,16 +145,20 @@ def bench_suite(suite: BenchSuite, workers: int | None = None) -> BenchSummary:
                 g, preset=suite.preset, time_limit=suite.time_limit, **suite.options
             )
             rep = solve(g, cfg, workers=workers, source=source)
+            greedy = greedy_min_degree(g).size
             rows.append(
-                BenchRow(source, g.n, g.m, rep.best_size, rep.mis_found_count, rep.wall_time_ms)
+                BenchRow(source, g.n, g.m, rep.best_size, greedy, rep.mis_found_count, rep.wall_time_ms)
             )
             reports.append(rep)
         except Exception as exc:  # record and continue
-            rows.append(BenchRow(source, 0, 0, 0, 0, 0.0, error=f"{type(exc).__name__}: {exc}"))
+            rows.append(BenchRow(source, 0, 0, 0, 0, 0, 0.0, error=f"{type(exc).__name__}: {exc}"))
     good = [r for r in rows if not r.error]
     mean_best = sum(r.best_size for r in good) / len(good) if good else None
+    mean_greedy = sum(r.greedy_size for r in good) / len(good) if good else None
     total = sum(r.wall_time_ms for r in rows)
-    return BenchSummary(rows=rows, mean_best=mean_best, total_wall_ms=total, reports=reports)
+    return BenchSummary(
+        rows=rows, mean_best=mean_best, mean_greedy=mean_greedy, total_wall_ms=total, reports=reports
+    )
 
 
 def parse_suite(text: str) -> BenchSuite:
@@ -166,19 +176,27 @@ def parse_suite(text: str) -> BenchSuite:
         raise InputError(f"suite is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("config", {}), dict):
         raise InputError("suite must be a JSON object whose config is an object")
+    items = doc.get("instances", [])
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise InputError(f"suite instances must be a list of objects, got {items!r}")
     instances: list[BenchInstance] = []
-    for item in doc.get("instances", []):
+    for item in items:
         try:
             instances.append(_parse_instance(item))
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad instance {item!r}: {exc}") from None
+    time_limit = doc.get("time_limit")
+    if time_limit is not None and (isinstance(time_limit, bool) or not isinstance(time_limit, (int, float))):
+        raise InputError(f"suite time_limit must be a number or null, got {time_limit!r}")
     options = dict(doc.get("config", {}))
     preset = options.pop("preset", None)
+    if preset is not None and (not isinstance(preset, str) or preset not in PRESETS):
+        raise InputError(f"unknown preset {preset!r}; pick one of {sorted(PRESETS)}")
     return BenchSuite(
         instances=tuple(instances),
         preset=preset,
         options=options,
-        time_limit=doc.get("time_limit"),
+        time_limit=time_limit,
     )
 
 
@@ -205,6 +223,7 @@ def write_summary(summary: BenchSummary, fmt: str = "json") -> str:
                     "n": r.n,
                     "m": r.m,
                     "best_size": r.best_size,
+                    "greedy_size": r.greedy_size,
                     "mis_found_count": r.mis_found_count,
                     "wall_time_ms": round(r.wall_time_ms, 3),
                     "error": r.error,
@@ -212,17 +231,24 @@ def write_summary(summary: BenchSummary, fmt: str = "json") -> str:
                 for r in summary.rows
             ],
             "mean_best": summary.mean_best,
+            "mean_greedy": summary.mean_greedy,
             "total_wall_ms": round(summary.total_wall_ms, 3),
         }
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
-        lines = ["source,n,m,best_size,mis_found_count,wall_time_ms,error"]
+        # labels and error texts contain commas, so fields are quoted as needed
+        buf = io.StringIO()
+        out = csv.writer(buf, lineterminator="\n")
+        out.writerow(["source", "n", "m", "best_size", "greedy_size", "mis_found_count", "wall_time_ms", "error"])
         for r in summary.rows:
-            lines.append(
-                f"{r.source},{r.n},{r.m},{r.best_size},{r.mis_found_count},"
-                f"{r.wall_time_ms:.3f},{r.error}"
-            )
-        mean = "" if summary.mean_best is None else f"{summary.mean_best}"
-        lines.append(f"summary,,,{mean},,{summary.total_wall_ms:.3f},")
-        return "\n".join(lines) + "\n"
+            out.writerow([
+                r.source, r.n, r.m, r.best_size, r.greedy_size, r.mis_found_count,
+                f"{r.wall_time_ms:.3f}", r.error,
+            ])
+        # csv writes None as an empty field
+        out.writerow([
+            "summary", "", "", summary.mean_best, summary.mean_greedy, "",
+            f"{summary.total_wall_ms:.3f}", "",
+        ])
+        return buf.getvalue()
     raise ValueError(f"unknown summary format {fmt!r}")

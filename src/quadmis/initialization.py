@@ -26,17 +26,13 @@ class InitSpec:
     scheme: str
     eta: float = 2.25
     seed: int = 0
-    count: int = 1
     mean: np.ndarray | None = None
-    include_mean_as_first: bool = True
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise InputError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
         if self.eta < 0.0:
             raise InputError("eta must be non-negative")
-        if self.count < 1:
-            raise InputError("count must be at least 1")
         if self.seed < 0:
             raise InputError("seed must be a non-negative integer")
         if self.scheme == "external-mean":
@@ -88,7 +84,11 @@ def degree_mean(g: Graph) -> np.ndarray:
 
 
 def sample_block(n: int, spec: InitSpec, mean: np.ndarray | None, start: int, stop: int) -> np.ndarray:
-    """Columns start..stop-1 of the initialization sequence as an (n, w) matrix."""
+    """Columns start..stop-1 of the initialization sequence as an (n, w) matrix.
+
+    The gaussian schemes draw around the mean, and draw 0 is the clamped
+    mean itself.
+    """
     width = stop - start
     if spec.scheme == "random":
         out = np.empty((n, width), dtype=np.float64)
@@ -98,7 +98,7 @@ def sample_block(n: int, spec: InitSpec, mean: np.ndarray | None, start: int, st
     if mean is None:
         raise ValueError("gaussian schemes need a mean vector")
     out = sample_around(mean, spec.eta, spec.seed, start, stop)
-    if start == 0 and spec.include_mean_as_first:
+    if start == 0:
         out[:, 0] = np.clip(mean, 0.0, 1.0)
     return out
 
@@ -123,24 +123,6 @@ def initial_mean(g: Graph, spec: InitSpec) -> np.ndarray | None:
     if spec.scheme == "degree":
         return degree_mean(g)
     return np.asarray(spec.mean, dtype=np.float64)
-
-
-def random_init(n: int, spec: InitSpec) -> list[np.ndarray]:
-    """spec.count i.i.d. Uniform[0,1]^n assignments."""
-    if spec.scheme != "random":
-        raise ValueError("random_init requires the random scheme")
-    block = sample_block(n, spec, None, 0, spec.count)
-    return [block[:, j].copy() for j in range(spec.count)]
-
-
-def gaussian_around_mean(mean, spec: InitSpec) -> list[np.ndarray]:
-    """spec.count draws of Normal(mean, eta I) clamped to the box.
-
-    Draw 0 is the clamped mean itself when include_mean_as_first is set.
-    """
-    mean = np.asarray(mean, dtype=np.float64)
-    block = sample_block(mean.size, spec, mean, 0, spec.count)
-    return [block[:, j].copy() for j in range(spec.count)]
 
 
 def load_mean_file(path) -> np.ndarray:

@@ -97,7 +97,6 @@ class SolverConfig:
     time_limit: float | None = None
     complement_term_enabled: bool = True
     mean: np.ndarray | None = None
-    include_mean_as_first: bool = True
 
     def __post_init__(self) -> None:
         if self.alpha <= 0.0:
@@ -117,9 +116,7 @@ class SolverConfig:
             scheme=self.init_scheme,
             eta=self.eta,
             seed=self.seed,
-            count=self.batch_size * self.batch_count,
             mean=self.mean if self.init_scheme == "external-mean" else None,
-            include_mean_as_first=self.include_mean_as_first,
         )
 
 

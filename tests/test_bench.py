@@ -1,8 +1,20 @@
+import csv
 import json
+from pathlib import Path
 
 import pytest
 
-from quadmis import PRESETS, BenchInstance, BenchSuite, bench_suite, gen_gnm, parse_suite, resolve_config, write_summary
+from quadmis import (
+    PRESETS,
+    BenchInstance,
+    BenchSuite,
+    bench_suite,
+    gen_gnm,
+    greedy_min_degree,
+    parse_suite,
+    resolve_config,
+    write_summary,
+)
 
 
 def test_preset_tables():
@@ -75,6 +87,16 @@ def test_parse_suite():
     assert suite.instances[3].path == "x.edges"
 
 
+def test_er700_suite():
+    # the descriptor behind the README's ER numbers
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "er700.json"
+    suite = parse_suite(path.read_text())
+    assert suite.preset == "er"
+    assert suite.options == {}
+    assert suite.time_limit == 300
+    assert [(i.kind, i.n, i.p, i.seed) for i in suite.instances] == [("er", 700, 0.15, s) for s in range(10)]
+
+
 def test_parse_suite_rejects_unknown_instance():
     with pytest.raises(ValueError):
         parse_suite(json.dumps({"instances": [{"torus": [3]}]}))
@@ -95,8 +117,11 @@ def test_bench_suite_runs_and_records_errors(tmp_path):
     assert good.error == ""
     assert good.n == 30 and good.m == (30 * 29 + 3) // 4
     assert good.best_size >= 1
+    assert good.greedy_size == greedy_min_degree(gen_gnm(30, good.m, 0)).size
     assert bad.error.startswith("FileNotFoundError")
+    assert bad.greedy_size == 0
     assert summary.mean_best == good.best_size
+    assert summary.mean_greedy == good.greedy_size
     assert len(summary.reports) == 1
 
 
@@ -109,9 +134,13 @@ def test_bench_summary_formats():
     doc = json.loads(write_summary(summary, "json"))
     assert doc["rows"][0]["n"] == 20
     assert doc["mean_best"] == summary.mean_best
-    csv = write_summary(summary, "csv").splitlines()
-    assert csv[0].startswith("source,n,m,")
-    assert csv[-1].startswith("summary,")
+    lines = write_summary(summary, "csv").splitlines()
+    assert lines[0].startswith("source,n,m,")
+    assert lines[-1].startswith("summary,")
+    # labels such as gnm(n=20,m=95,seed=1) contain commas
+    rows = list(csv.reader(lines))
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert rows[1][0] == summary.rows[0].source
     with pytest.raises(ValueError):
         write_summary(summary, "yaml")
 

@@ -128,6 +128,16 @@ def test_setting_errors_exit_2(tmp_path, graph_file, capsys):
     bad_suite.write_text("{not json")
     list_suite = tmp_path / "list.json"
     list_suite.write_text("[]")
+    junk_suites = []
+    for i, doc in enumerate((
+        {"instances": 5},
+        {"instances": [3]},
+        {"time_limit": "soon", "instances": [{"gnm": [10]}]},
+        {"config": {"preset": 3}, "instances": [{"gnm": [10]}]},
+    )):
+        path = tmp_path / f"junk{i}.json"
+        path.write_text(json.dumps(doc))
+        junk_suites.append(["bench", str(path)])
     for argv in (
         ["solve", graph_file, "--lr", "-1"],
         ["solve", graph_file, "--eta", "-1", "--init", "degree"],
@@ -135,6 +145,7 @@ def test_setting_errors_exit_2(tmp_path, graph_file, capsys):
         ["check", graph_file, "--set", "0,x"],
         ["bench", str(bad_suite)],
         ["bench", str(list_suite)],
+        *junk_suites,
     ):
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err

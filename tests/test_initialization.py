@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from quadmis import DegenerateDegreeMean, Graph, InitSpec, degree_mean, gaussian_around_mean, random_init
+from quadmis import DegenerateDegreeMean, Graph, InitSpec, degree_mean
 from quadmis.initialization import initial_mean, noise, sample_block
 
 
 def test_spec_validation():
     InitSpec("random")
-    InitSpec("degree", eta=0.0, count=3)
+    InitSpec("degree", eta=0.0)
     with pytest.raises(ValueError):
         InitSpec("fancy")
     with pytest.raises(ValueError):
         InitSpec("random", eta=-0.1)
-    with pytest.raises(ValueError):
-        InitSpec("random", count=0)
     with pytest.raises(ValueError):
         InitSpec("random", seed=-1)
     with pytest.raises(ValueError):
@@ -43,10 +41,10 @@ def test_degree_mean_regular_warns():
     np.testing.assert_array_equal(m, np.full(3, 0.5))
 
 
-def test_random_init_range_and_determinism():
-    spec = InitSpec("random", seed=11, count=4)
-    a = random_init(10, spec)
-    b = random_init(10, spec)
+def test_random_draws_range_and_determinism():
+    spec = InitSpec("random", seed=11)
+    a = sample_block(10, spec, None, 0, 4).T
+    b = sample_block(10, spec, None, 0, 4).T
     assert len(a) == 4
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
@@ -58,7 +56,7 @@ def test_random_init_range_and_determinism():
 
 def test_draws_keyed_by_index_not_block():
     # splitting a batch into blocks must not change what draw k is
-    spec = InitSpec("random", seed=5, count=8)
+    spec = InitSpec("random", seed=5)
     whole = sample_block(6, spec, None, 0, 8)
     left = sample_block(6, spec, None, 0, 3)
     right = sample_block(6, spec, None, 3, 8)
@@ -67,23 +65,17 @@ def test_draws_keyed_by_index_not_block():
 
 def test_gaussian_first_draw_is_mean(fig1):
     mean = degree_mean(fig1)
-    spec = InitSpec("degree", eta=2.25, seed=0, count=3)
-    draws = gaussian_around_mean(mean, spec)
+    spec = InitSpec("degree", eta=2.25, seed=0)
+    draws = sample_block(mean.size, spec, mean, 0, 3).T
     np.testing.assert_array_equal(draws[0], np.clip(mean, 0.0, 1.0))
     assert not np.array_equal(draws[1], draws[0])
 
 
-def test_gaussian_mean_not_first_when_disabled(fig1):
-    mean = degree_mean(fig1)
-    spec = InitSpec("degree", eta=2.25, seed=0, count=2, include_mean_as_first=False)
-    draws = gaussian_around_mean(mean, spec)
-    assert not np.array_equal(draws[0], np.clip(mean, 0.0, 1.0))
-
-
 def test_eta_zero_collapses_to_mean():
+    # draw 0 is the mean itself; draws 1-3 add noise scaled by sqrt(0)
     mean = np.full(7, 0.25)
-    spec = InitSpec("external-mean", eta=0.0, seed=3, count=4, mean=mean, include_mean_as_first=False)
-    for x in gaussian_around_mean(mean, spec):
+    spec = InitSpec("external-mean", eta=0.0, seed=3, mean=mean)
+    for x in sample_block(mean.size, spec, mean, 0, 4).T:
         np.testing.assert_array_equal(x, mean)
 
 
@@ -99,8 +91,8 @@ def test_eta_is_preclamp_variance():
 
 def test_clamped_into_box():
     mean = np.full(50, 0.5)
-    spec = InitSpec("external-mean", eta=9.0, seed=2, count=6, mean=mean)
-    for x in gaussian_around_mean(mean, spec):
+    spec = InitSpec("external-mean", eta=9.0, seed=2, mean=mean)
+    for x in sample_block(mean.size, spec, mean, 0, 6).T:
         assert (x >= 0).all() and (x <= 1).all()
 
 
