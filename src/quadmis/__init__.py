@@ -49,7 +49,6 @@ from .optimizer import (
     SolverConfig,
     adam_step,
     run_resampling,
-    run_single,
     solve,
 )
 from .oracle import TooLarge, exact_mis, greedy_min_degree
@@ -95,7 +94,6 @@ __all__ = [
     "parse_suite",
     "resolve_config",
     "run_resampling",
-    "run_single",
     "solve",
     "support",
     "threshold",

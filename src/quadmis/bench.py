@@ -44,6 +44,21 @@ PRESETS: dict[str, dict] = {
 # SolverConfig's own defaults, with gamma as a selection mode.
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverConfig)} | {"gamma": "strict-n"}
 
+# The JSON types a suite's config may give each field. The time limit is a
+# key of the suite itself, not of its config.
+_SUITE_FIELDS = {
+    "gamma": (str, int, float),
+    "alpha": (int, float),
+    "iterations": int,
+    "batch_size": int,
+    "batch_count": int,
+    "init_scheme": str,
+    "eta": (int, float),
+    "seed": int,
+    "complement_term_enabled": bool,
+    "mean": (list, type(None)),
+}
+
 
 def resolve_config(g: Graph, preset: str | None = None, **overrides) -> SolverConfig:
     """Build a SolverConfig for a graph from a preset plus overrides.
@@ -192,12 +207,39 @@ def parse_suite(text: str) -> BenchSuite:
     preset = options.pop("preset", None)
     if preset is not None and (not isinstance(preset, str) or preset not in PRESETS):
         raise InputError(f"unknown preset {preset!r}; pick one of {sorted(PRESETS)}")
+    _check_config(preset, options, time_limit)
     return BenchSuite(
         instances=tuple(instances),
         preset=preset,
         options=options,
         time_limit=time_limit,
     )
+
+
+def _check_config(preset: str | None, options: dict, time_limit) -> None:
+    """Raise InputError for a suite config that no instance could run with.
+
+    Field names and JSON types are checked here, and the value ranges by
+    building the SolverConfig once, with a fixed gamma standing in for a
+    selection mode (modes resolve per graph).
+    """
+    unknown = set(options) - set(_SUITE_FIELDS)
+    if unknown:
+        raise InputError(f"unknown config fields: {sorted(unknown)}")
+    for name, value in options.items():
+        kinds = _SUITE_FIELDS[name]
+        if isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds):
+            raise InputError(f"config field {name} has a value of the wrong type: {value!r}")
+    fields = dict(_DEFAULTS) | PRESETS.get(preset, {}) | options | {"time_limit": time_limit}
+    gamma = fields.pop("gamma")
+    if isinstance(gamma, str):
+        if gamma not in ("wei-floor", "strict-n"):
+            raise InputError(f"unknown gamma mode: {gamma!r}")
+        gamma = 2.0
+    try:
+        SolverConfig(gamma=gamma, **fields)
+    except (TypeError, ValueError) as exc:  # a mean list that is not all numbers raises either
+        raise InputError(f"bad suite config: {exc}") from None
 
 
 def _parse_instance(item: dict) -> BenchInstance:

@@ -134,6 +134,9 @@ def test_setting_errors_exit_2(tmp_path, graph_file, capsys):
         {"instances": [3]},
         {"time_limit": "soon", "instances": [{"gnm": [10]}]},
         {"config": {"preset": 3}, "instances": [{"gnm": [10]}]},
+        {"config": {"batch_size": "x"}, "instances": [{"gnm": [10]}]},
+        {"config": {"bogus": 1}, "instances": [{"gnm": [10]}]},
+        {"time_limit": 0, "instances": [{"gnm": [10]}]},
     )):
         path = tmp_path / f"junk{i}.json"
         path.write_text(json.dumps(doc))

@@ -16,7 +16,6 @@ from quadmis import (
     gen_er,
     gen_gnm,
     run_resampling,
-    run_single,
     solve,
 )
 
@@ -63,19 +62,17 @@ def _frozen_run_block(g, p, X, start, iterations, alpha, grad=_frozen_gradient_c
     return found, failures, width
 
 
-def _poisoned(grad, at_call):
-    # at the given call, columns whose bytes have an odd CRC go non-finite;
-    # a function of the column alone, so both kernels poison the same runs
-    # at the same iteration
-    calls = [0]
-
+def _poisoned(grad):
+    # columns that are not binary and whose bytes have a CRC divisible by
+    # 128 go non-finite; a function of the column alone, so both kernels
+    # poison the same runs at the same iteration, however many columns
+    # each call recomputes
     def poisoned(g, p, X):
-        calls[0] += 1
         G = grad(g, p, X)
-        if calls[0] == at_call:
-            for j in range(X.shape[1]):
-                if zlib.crc32(np.ascontiguousarray(X[:, j]).tobytes()) % 2:
-                    G[:, j] = np.nan
+        for j in range(X.shape[1]):
+            col = np.ascontiguousarray(X[:, j])
+            if ((col != 0.0) & (col != 1.0)).any() and zlib.crc32(col.tobytes()) % 128 == 0:
+                G[:, j] = np.nan
         return G
 
     return poisoned
@@ -105,13 +102,51 @@ def test_kernel_matches_reference_with_partial_poison(monkeypatch):
     g = gen_er(200, 0.1, 1)
     p = ObjectiveParams(200.0)
     X = np.random.default_rng(0).random((g.n, opt.CHUNK))
-    want = _frozen_run_block(g, p, X, 0, 150, 0.6, grad=_poisoned(_frozen_gradient_columns, 80))
-    monkeypatch.setattr(opt, "gradient_columns", _poisoned(opt.gradient_columns, 80))
+    want = _frozen_run_block(g, p, X, 0, 150, 0.6, grad=_poisoned(_frozen_gradient_columns))
+    monkeypatch.setattr(opt, "gradient_columns", _poisoned(opt.gradient_columns))
     got = opt._run_block(g, p, X, 0, 150, 0.6)
     assert got == want
     found, failures, width = got
     certified = sum(item is not None for item in found)
     assert 0 < failures < width and certified > 0
+
+
+def _counting(grad, seen):
+    def counting(g, p, X):
+        seen.append(X.shape[1])
+        return grad(g, p, X)
+
+    return counting
+
+
+@pytest.mark.parametrize("name,g,p,width,iterations,alpha,skips", [
+    (*KERNEL_CASES[0], True),
+    # small steps for a few iterations: no column reaches a vertex, so all move
+    ("all-move", gen_er(200, 0.1, 1), ObjectiveParams(200.0), opt.CHUNK, 20, 0.01, False),
+], ids=["er", "all-move"])
+def test_kernel_skips_products_of_unmoved_columns(monkeypatch, name, g, p, width, iterations, alpha, skips):
+    # without failures a column lives until the iteration it certifies at,
+    # and each live column-iteration starts from the column's gradient
+    X = np.random.default_rng(width).random((g.n, width))
+    seen = []
+    monkeypatch.setattr(opt, "gradient_columns", _counting(opt.gradient_columns, seen))
+    found, failures, _ = opt._run_block(g, p, X, 0, iterations, alpha)
+    live_col_iters = sum(iterations if item is None else item[2] for item in found)
+    assert failures == 0
+    if skips:
+        assert sum(seen) < live_col_iters
+    else:
+        assert sum(seen) == live_col_iters
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (31, 5), (64, 3), (200, 1), (200, 32), (1290, 17)])
+def test_differs_matches_plain_reduction(n, k):
+    rng = np.random.default_rng(n * k)
+    A = rng.random((n, k))
+    for flips in (0, 1, 3):
+        B = A.copy()
+        B[rng.integers(0, n, flips), rng.integers(0, k, flips)] += 1.0
+        assert np.array_equal(opt._differs(A, B), (A != B).any(axis=0))
 
 
 def complete_graph(n):
@@ -145,25 +180,6 @@ def test_zero_gradient_leaves_x_alone():
 def test_adam_step_rejects_bad_alpha(fig1):
     with pytest.raises(ValueError):
         adam_step(fig1, ObjectiveParams(5.0), np.zeros(5), AdamState.fresh(5), alpha=0.0)
-
-
-def test_run_single_stops_at_fixed_point(fig1):
-    x0 = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
-    out = run_single(fig1, ObjectiveParams(5.0), x0, iterations=50, alpha=0.5)
-    assert out.found is not None
-    assert out.found.members == (0, 3, 4)
-    assert out.iterations_used == 1
-    assert len(out.trace) == 1
-    assert out.trace[0][0] == 1
-
-
-def test_run_single_trace_when_not_found():
-    g = complete_graph(3)
-    # start dead center with a tiny step: no certificate in 5 iterations
-    out = run_single(g, ObjectiveParams(3.0), np.full(3, 0.5), iterations=5, alpha=1e-12)
-    assert out.found is None
-    assert out.iterations_used == 5
-    assert [t for t, _ in out.trace] == [1, 2, 3, 4, 5]
 
 
 def test_complete_graph_yields_singletons():
