@@ -33,7 +33,7 @@ from .graph_io import (
     write_edge_list,
     write_report,
 )
-from .initialization import DegenerateDegreeMean, InitSpec, degree_mean
+from .initialization import DegenerateDegreeMean, degree_mean
 from .objective import (
     DimensionError,
     InvalidGamma,
@@ -63,7 +63,6 @@ __all__ = [
     "DegenerateDegreeMean",
     "DimensionError",
     "Graph",
-    "InitSpec",
     "InvalidEdge",
     "InvalidEdgeCount",
     "InvalidGamma",

@@ -21,7 +21,7 @@ from .generators import gen_er, gen_gnm, gnm_edge_count
 from .graph import Graph
 from .graph_io import load_graph
 from .objective import gamma_select
-from .optimizer import SolveReport, SolverConfig, _resolve_workers, solve
+from .optimizer import SolverConfig, _resolve_workers, solve
 from .oracle import greedy_min_degree
 
 # Named hyperparameter bundles for the benchmark families this solver
@@ -130,7 +130,6 @@ class BenchSummary:
     mean_best: float | None
     mean_greedy: float | None
     total_wall_ms: float
-    reports: list[SolveReport] = field(default_factory=list)
 
 
 def _materialize(inst: BenchInstance) -> Graph:
@@ -151,7 +150,6 @@ def bench_suite(suite: BenchSuite, workers: int | None = None) -> BenchSummary:
     """
     workers = _resolve_workers(workers)
     rows: list[BenchRow] = []
-    reports: list[SolveReport] = []
     for inst in suite.instances:
         source = inst.label()
         try:
@@ -164,16 +162,13 @@ def bench_suite(suite: BenchSuite, workers: int | None = None) -> BenchSummary:
             rows.append(
                 BenchRow(source, g.n, g.m, rep.best_size, greedy, rep.mis_found_count, rep.wall_time_ms)
             )
-            reports.append(rep)
         except Exception as exc:  # record and continue
             rows.append(BenchRow(source, 0, 0, 0, 0, 0, 0.0, error=f"{type(exc).__name__}: {exc}"))
     good = [r for r in rows if not r.error]
     mean_best = sum(r.best_size for r in good) / len(good) if good else None
     mean_greedy = sum(r.greedy_size for r in good) / len(good) if good else None
     total = sum(r.wall_time_ms for r in rows)
-    return BenchSummary(
-        rows=rows, mean_best=mean_best, mean_greedy=mean_greedy, total_wall_ms=total, reports=reports
-    )
+    return BenchSummary(rows=rows, mean_best=mean_best, mean_greedy=mean_greedy, total_wall_ms=total)
 
 
 def parse_suite(text: str) -> BenchSuite:

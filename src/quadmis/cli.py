@@ -17,15 +17,15 @@ import numpy as np
 from .bench import bench_suite, parse_suite, resolve_config, write_summary
 from .checker import direct_mis_check, fast_mis_check
 from .errors import InputError
-from .generators import InvalidEdgeCount, gen_er, gen_gnm, gnm_edge_count
-from .graph import Graph, InvalidEdge, NodeSet
-from .graph_io import ParseError, load_graph, write_dimacs, write_edge_list, write_report
+from .generators import gen_er, gen_gnm, gnm_edge_count
+from .graph import NodeSet
+from .graph_io import load_graph, write_dimacs, write_edge_list, write_report
 from .initialization import load_mean_file
-from .objective import InvalidGamma, gamma_select
-from .oracle import TooLarge, exact_mis
+from .objective import gamma_select
+from .oracle import exact_mis
 from .optimizer import NumericalError, solve
 
-_INPUT_ERRORS = (ParseError, InvalidGamma, InvalidEdge, InvalidEdgeCount, TooLarge, InputError, OSError)
+_INPUT_ERRORS = (InputError, OSError)
 
 
 def _gamma_arg(raw: str):

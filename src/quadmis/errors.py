@@ -1,11 +1,12 @@
-"""The error type for settings that come from the user."""
+"""The error type for input that comes from the user."""
 
 from __future__ import annotations
 
 
 class InputError(ValueError):
-    """A solver setting, preset, flag or environment value that is invalid.
+    """Bad input: a setting, flag, environment value, graph or file.
 
-    The CLI maps it to exit code 2, like the parse and graph errors; any
-    other ValueError is a program fault and shows its traceback.
+    ParseError, InvalidGamma, InvalidEdge, InvalidEdgeCount and TooLarge
+    derive from it. The CLI maps it to exit code 2; any other ValueError
+    is a program fault and shows its traceback.
     """

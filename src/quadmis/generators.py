@@ -8,7 +8,7 @@ from .errors import InputError
 from .graph import Graph
 
 
-class InvalidEdgeCount(ValueError):
+class InvalidEdgeCount(InputError):
     """Requested more edges than the node count allows."""
 
 

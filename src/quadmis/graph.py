@@ -15,8 +15,9 @@ from typing import Iterable, Iterator
 import numpy as np
 from scipy import sparse
 
+from .errors import InputError
 
-class InvalidEdge(ValueError):
+class InvalidEdge(InputError):
     """Self-loop or endpoint outside [0, n)."""
 
 

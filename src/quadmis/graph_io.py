@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 
+from .errors import InputError
 from .graph import Graph
 from .optimizer import SolveReport
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Malformed graph text; carries the offending 1-based line number."""
 
     def __init__(self, message: str, line: int | None = None):

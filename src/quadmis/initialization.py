@@ -2,12 +2,14 @@
 
 Draw k is a pure function of (seed, k): reordering, batch boundaries, and
 worker layout cannot change what initialization k looks like.
+
+The settings behind the draws belong to SolverConfig, which checks them
+once; initial_mean resolves the scheme into a mean, None for uniform starts.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,32 +21,6 @@ SCHEMES = ("random", "degree", "external-mean")
 
 class DegenerateDegreeMean(UserWarning):
     """Degrees carry no signal; a flat mean was substituted."""
-
-
-@dataclass(frozen=True)
-class InitSpec:
-    scheme: str
-    eta: float = 2.25
-    seed: int = 0
-    mean: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise InputError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
-        if self.eta < 0.0:
-            raise InputError("eta must be non-negative")
-        if self.seed < 0:
-            raise InputError("seed must be a non-negative integer")
-        if self.scheme == "external-mean":
-            if self.mean is None:
-                raise InputError("external-mean scheme needs a mean vector")
-            m = np.asarray(self.mean, dtype=np.float64)
-            if m.ndim != 1 or ((m < 0.0) | (m > 1.0)).any():
-                raise InputError("mean entries must lie in [0, 1]")
-            m.setflags(write=False)
-            object.__setattr__(self, "mean", m)
-        elif self.mean is not None:
-            raise InputError(f"{self.scheme!r} scheme does not take a mean vector")
 
 
 def _rng(seed: int, k: int) -> np.random.Generator:
@@ -83,21 +59,18 @@ def degree_mean(g: Graph) -> np.ndarray:
     return raw / top
 
 
-def sample_block(n: int, spec: InitSpec, mean: np.ndarray | None, start: int, stop: int) -> np.ndarray:
+def sample_block(n: int, mean: np.ndarray | None, seed: int, start: int, stop: int, eta: float = 0.0) -> np.ndarray:
     """Columns start..stop-1 of the initialization sequence as an (n, w) matrix.
 
-    The gaussian schemes draw around the mean, and draw 0 is the clamped
-    mean itself.
+    Uniform draws on the box when mean is None. Otherwise the draws are
+    sample_around(mean, eta, ...), and draw 0 is the clamped mean itself.
     """
-    width = stop - start
-    if spec.scheme == "random":
-        out = np.empty((n, width), dtype=np.float64)
-        for j in range(width):
-            out[:, j] = _rng(spec.seed, start + j).random(n)
-        return out
     if mean is None:
-        raise ValueError("gaussian schemes need a mean vector")
-    out = sample_around(mean, spec.eta, spec.seed, start, stop)
+        out = np.empty((n, stop - start), dtype=np.float64)
+        for j in range(stop - start):
+            out[:, j] = _rng(seed, start + j).random(n)
+        return out
+    out = sample_around(mean, eta, seed, start, stop)
     if start == 0:
         out[:, 0] = np.clip(mean, 0.0, 1.0)
     return out
@@ -116,23 +89,16 @@ def sample_around(centre: np.ndarray, eta: float, seed: int, start: int, stop: i
     return out
 
 
-def initial_mean(g: Graph, spec: InitSpec) -> np.ndarray | None:
-    """Resolve the scheme's mean vector once per solve; None for random."""
-    if spec.scheme == "random":
-        return None
-    if spec.scheme == "degree":
+def initial_mean(g: Graph, scheme: str, mean: np.ndarray | None) -> np.ndarray | None:
+    """The scheme's mean, resolved once per solve; None for uniform starts."""
+    if scheme == "degree":
         return degree_mean(g)
-    return np.asarray(spec.mean, dtype=np.float64)
+    return mean
 
 
 def load_mean_file(path) -> np.ndarray:
-    """Plain-text mean vector, one real per line."""
+    """Plain-text mean vector, one real per line; SolverConfig checks the values."""
     try:
-        values = np.atleast_1d(np.loadtxt(path, dtype=np.float64))
+        return np.atleast_1d(np.loadtxt(path, dtype=np.float64))
     except ValueError as exc:
         raise InputError(f"mean file {path}: {exc}") from None
-    if values.ndim != 1:
-        raise InputError("expected one real per line")
-    if ((values < 0.0) | (values > 1.0)).any():
-        raise InputError("mean entries must lie in [0, 1]")
-    return values

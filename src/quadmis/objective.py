@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import InputError
 from .graph import Graph
 
 
@@ -30,7 +31,7 @@ class DimensionError(ValueError):
     """Assignment length does not match the graph's node count."""
 
 
-class InvalidGamma(ValueError):
+class InvalidGamma(InputError):
     """Edges-penalty value outside its admissible range."""
 
 

@@ -32,7 +32,7 @@ from . import checker
 from .checker import fast_mis_check, fast_mis_check_batch  # noqa: F401  (perfbench/tracer.py wraps these names)
 from .errors import InputError
 from .graph import Graph, NodeSet
-from .initialization import InitSpec, initial_mean, sample_around, sample_block
+from .initialization import SCHEMES, initial_mean, sample_around, sample_block
 from .objective import ObjectiveParams, gradient, gradient_columns
 
 BETA1 = 0.9
@@ -79,6 +79,9 @@ class SolverConfig:
     gamma is a resolved value here; use gamma_select or the preset helpers
     to derive it from a graph first. init_scheme draws the starts of the
     first batch; solve() draws later ones around the best set so far.
+    mean goes with the external-mean scheme only. This is the one place
+    the solver settings are checked (InputError; InvalidGamma for gamma),
+    and each check is written so that NaN fails it.
     """
 
     gamma: float
@@ -94,25 +97,30 @@ class SolverConfig:
     mean: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0.0:
-            raise InputError("alpha must be positive")
-        if self.iterations < 1 or self.batch_size < 1 or self.batch_count < 1:
+        if not self.alpha > 0.0:
+            raise InputError(f"alpha must be positive, got {self.alpha}")
+        if not all(k >= 1 for k in (self.iterations, self.batch_size, self.batch_count)):
             raise InputError("iterations, batch_size and batch_count must be >= 1")
-        if self.time_limit is not None and self.time_limit <= 0.0:
-            raise InputError("time_limit must be positive when set")
+        if self.time_limit is not None and not self.time_limit > 0.0:
+            raise InputError(f"time_limit must be positive when set, got {self.time_limit}")
+        if self.init_scheme not in SCHEMES:
+            raise InputError(f"unknown init_scheme {self.init_scheme!r}; pick one of {SCHEMES}")
+        if not self.eta >= 0.0:
+            raise InputError(f"eta must be non-negative, got {self.eta}")
+        if not self.seed >= 0:
+            raise InputError(f"seed must be a non-negative integer, got {self.seed}")
+        if (self.mean is not None) != (self.init_scheme == "external-mean"):
+            raise InputError("a mean vector is given if and only if init_scheme is 'external-mean'")
+        if self.mean is not None:
+            m = np.array(self.mean, dtype=np.float64)
+            if m.ndim != 1 or not ((m >= 0.0) & (m <= 1.0)).all():
+                raise InputError("mean must be a vector with entries in [0, 1]")
+            m.setflags(write=False)
+            object.__setattr__(self, "mean", m)
         self.params()
-        self.init_spec()
 
     def params(self) -> ObjectiveParams:
         return ObjectiveParams(self.gamma, self.complement_term_enabled)
-
-    def init_spec(self) -> InitSpec:
-        return InitSpec(
-            scheme=self.init_scheme,
-            eta=self.eta,
-            seed=self.seed,
-            mean=self.mean if self.init_scheme == "external-mean" else None,
-        )
 
 
 @dataclass
@@ -138,7 +146,7 @@ def adam_step(g: Graph, p: ObjectiveParams, x, st: AdamState, alpha: float) -> n
     the gradient is not finite (cannot happen while x stays inside the
     box, but the guard is part of the contract).
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     grad = gradient(g, p, x)
     if not np.isfinite(grad).all():
@@ -286,8 +294,7 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
     """
     t0 = time.perf_counter()
     p = cfg.params()
-    spec = cfg.init_spec()
-    mean = initial_mean(g, spec)
+    mean = initial_mean(g, cfg.init_scheme, cfg.mean)
     g.adjacency_csr()  # build once, before workers share it
     nworkers = _resolve_workers(workers)
     best: NodeSet | None = None
@@ -302,7 +309,7 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
         if deadline is not None and time.perf_counter() >= deadline:
             return None
         if around is None:
-            X = sample_block(g.n, spec, mean, span[0], span[1])
+            X = sample_block(g.n, mean, cfg.seed, span[0], span[1], cfg.eta)
         else:
             centre = np.zeros(g.n)
             centre[list(around.members)] = 1.0
@@ -373,15 +380,14 @@ def run_resampling(g: Graph, p: ObjectiveParams, iterations: int, alpha: float, 
     initialization k of the random scheme. Useful for measuring how
     quickly an objective variant reaches fixed points.
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    spec = InitSpec("random", seed=seed)
     sizes: list[int] = []
     best: NodeSet | None = None
     used = 0
     while used < iterations:
         k = len(sizes)  # every run before this one certified
-        X = sample_block(g.n, spec, None, k, k + 1)
+        X = sample_block(g.n, None, seed, k, k + 1)
         (item,), nfail, _ = _run_block(g, p, X, k, iterations - used, alpha)
         if nfail:
             raise NumericalError("non-finite gradient")

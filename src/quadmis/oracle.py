@@ -6,13 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .graph import Graph, NodeSet
 
 EXACT_CAP = 64
 ENUMERATE_CAP = 16
 
 
-class TooLarge(ValueError):
+class TooLarge(InputError):
     """Instance exceeds the exact-search size cap."""
 
 

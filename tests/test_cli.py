@@ -137,13 +137,20 @@ def test_setting_errors_exit_2(tmp_path, graph_file, capsys):
         {"config": {"batch_size": "x"}, "instances": [{"gnm": [10]}]},
         {"config": {"bogus": 1}, "instances": [{"gnm": [10]}]},
         {"time_limit": 0, "instances": [{"gnm": [10]}]},
+        {"config": {"mean": [0.5] * 10}, "instances": [{"gnm": [10]}]},
     )):
         path = tmp_path / f"junk{i}.json"
         path.write_text(json.dumps(doc))
         junk_suites.append(["bench", str(path)])
+    nan_mean = tmp_path / "nan.mean"
+    nan_mean.write_text("nan\n" * 5)
     for argv in (
         ["solve", graph_file, "--lr", "-1"],
         ["solve", graph_file, "--eta", "-1", "--init", "degree"],
+        ["solve", graph_file, "--lr", "nan"],
+        ["solve", graph_file, "--eta", "nan", "--init", "degree"],
+        ["solve", graph_file, "--time-limit", "nan"],
+        ["solve", graph_file, "--init", f"mean:{nan_mean}"],
         ["gen", "er", "--n", "12", "--p", "1.5"],
         ["check", graph_file, "--set", "0,x"],
         ["bench", str(bad_suite)],

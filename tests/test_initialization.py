@@ -1,25 +1,27 @@
 import numpy as np
 import pytest
 
-from quadmis import DegenerateDegreeMean, Graph, InitSpec, degree_mean
+from quadmis import DegenerateDegreeMean, Graph, SolverConfig, degree_mean
+from quadmis.errors import InputError
 from quadmis.initialization import initial_mean, noise, sample_block
 
 
-def test_spec_validation():
-    InitSpec("random")
-    InitSpec("degree", eta=0.0)
-    with pytest.raises(ValueError):
-        InitSpec("fancy")
-    with pytest.raises(ValueError):
-        InitSpec("random", eta=-0.1)
-    with pytest.raises(ValueError):
-        InitSpec("random", seed=-1)
-    with pytest.raises(ValueError):
-        InitSpec("random", mean=np.full(3, 0.5))
-    with pytest.raises(ValueError):
-        InitSpec("external-mean")
-    with pytest.raises(ValueError):
-        InitSpec("external-mean", mean=np.array([0.2, 1.4]))
+def test_start_settings_validation():
+    # the start-point settings are SolverConfig's, and it checks them
+    SolverConfig(gamma=5.0, init_scheme="random")
+    SolverConfig(gamma=5.0, init_scheme="degree", eta=0.0)
+    with pytest.raises(InputError):
+        SolverConfig(gamma=5.0, init_scheme="fancy")
+    with pytest.raises(InputError):
+        SolverConfig(gamma=5.0, init_scheme="random", eta=-0.1)
+    with pytest.raises(InputError):
+        SolverConfig(gamma=5.0, init_scheme="random", seed=-1)
+    with pytest.raises(InputError):
+        SolverConfig(gamma=5.0, init_scheme="random", mean=np.full(3, 0.5))
+    with pytest.raises(InputError):
+        SolverConfig(gamma=5.0, init_scheme="external-mean")
+    with pytest.raises(InputError):
+        SolverConfig(gamma=5.0, init_scheme="external-mean", mean=np.array([0.2, 1.4]))
 
 
 def test_degree_mean_frozen(fig1):
@@ -42,9 +44,8 @@ def test_degree_mean_regular_warns():
 
 
 def test_random_draws_range_and_determinism():
-    spec = InitSpec("random", seed=11)
-    a = sample_block(10, spec, None, 0, 4).T
-    b = sample_block(10, spec, None, 0, 4).T
+    a = sample_block(10, None, 11, 0, 4).T
+    b = sample_block(10, None, 11, 0, 4).T
     assert len(a) == 4
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
@@ -56,17 +57,15 @@ def test_random_draws_range_and_determinism():
 
 def test_draws_keyed_by_index_not_block():
     # splitting a batch into blocks must not change what draw k is
-    spec = InitSpec("random", seed=5)
-    whole = sample_block(6, spec, None, 0, 8)
-    left = sample_block(6, spec, None, 0, 3)
-    right = sample_block(6, spec, None, 3, 8)
+    whole = sample_block(6, None, 5, 0, 8)
+    left = sample_block(6, None, 5, 0, 3)
+    right = sample_block(6, None, 5, 3, 8)
     np.testing.assert_array_equal(whole, np.hstack([left, right]))
 
 
 def test_gaussian_first_draw_is_mean(fig1):
     mean = degree_mean(fig1)
-    spec = InitSpec("degree", eta=2.25, seed=0)
-    draws = sample_block(mean.size, spec, mean, 0, 3).T
+    draws = sample_block(mean.size, mean, 0, 0, 3, eta=2.25).T
     np.testing.assert_array_equal(draws[0], np.clip(mean, 0.0, 1.0))
     assert not np.array_equal(draws[1], draws[0])
 
@@ -74,8 +73,7 @@ def test_gaussian_first_draw_is_mean(fig1):
 def test_eta_zero_collapses_to_mean():
     # draw 0 is the mean itself; draws 1-3 add noise scaled by sqrt(0)
     mean = np.full(7, 0.25)
-    spec = InitSpec("external-mean", eta=0.0, seed=3, mean=mean)
-    for x in sample_block(mean.size, spec, mean, 0, 4).T:
+    for x in sample_block(mean.size, mean, 3, 0, 4, eta=0.0).T:
         np.testing.assert_array_equal(x, mean)
 
 
@@ -91,13 +89,12 @@ def test_eta_is_preclamp_variance():
 
 def test_clamped_into_box():
     mean = np.full(50, 0.5)
-    spec = InitSpec("external-mean", eta=9.0, seed=2, mean=mean)
-    for x in sample_block(mean.size, spec, mean, 0, 6).T:
+    for x in sample_block(mean.size, mean, 2, 0, 6, eta=9.0).T:
         assert (x >= 0).all() and (x <= 1).all()
 
 
 def test_initial_mean_dispatch(fig1):
-    assert initial_mean(fig1, InitSpec("random")) is None
-    np.testing.assert_allclose(initial_mean(fig1, InitSpec("degree")), degree_mean(fig1))
-    ext = InitSpec("external-mean", mean=np.full(5, 0.125))
-    np.testing.assert_array_equal(initial_mean(fig1, ext), np.full(5, 0.125))
+    assert initial_mean(fig1, "random", None) is None
+    np.testing.assert_allclose(initial_mean(fig1, "degree", None), degree_mean(fig1))
+    ext = SolverConfig(gamma=5.0, init_scheme="external-mean", mean=np.full(5, 0.125))
+    np.testing.assert_array_equal(initial_mean(fig1, ext.init_scheme, ext.mean), np.full(5, 0.125))

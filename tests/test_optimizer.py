@@ -18,6 +18,7 @@ from quadmis import (
     run_resampling,
     solve,
 )
+from quadmis.errors import InputError
 
 
 def _frozen_gradient_columns(g, p, X):
@@ -314,6 +315,16 @@ def test_config_validation():
         SolverConfig(gamma=5.0, time_limit=0.0)
     with pytest.raises(ValueError):
         SolverConfig(gamma=5.0, init_scheme="external-mean")  # mean missing
+    # NaN fails every range check, and a mean needs the external-mean scheme
+    for bad in (
+        dict(alpha=float("nan")),
+        dict(eta=float("nan")),
+        dict(time_limit=float("nan")),
+        dict(init_scheme="external-mean", mean=np.full(4, np.nan)),
+        dict(init_scheme="degree", mean=np.full(4, 0.5)),
+    ):
+        with pytest.raises(InputError):
+            SolverConfig(gamma=5.0, **bad)
 
 
 def _frozen_gradient(g, p, x):
