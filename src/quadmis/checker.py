@@ -3,7 +3,8 @@
 Two independent routes:
 
 * fast_mis_check reduces a projected-gradient fixed-point test at a binary
-  point to sign conditions on the gradient, one sparse matvec total.
+  point to sign conditions on the gradient, one sparse matvec total (none
+  when the caller already holds the neighbour counts A z).
 * direct_mis_check walks every node's neighborhood, the plain reference.
 
 They agree on every binary vector whenever gamma >= n; the solver uses the
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph, NodeSet
-from .objective import ObjectiveParams, _as_assignment, gradient_columns
+from .objective import ObjectiveParams, _as_assignment, gradient_columns, gradient_from_product
 from .objective import gradient  # noqa: F401  (perfbench/tracer.py wraps this name)
 
 
@@ -52,12 +53,16 @@ def fast_mis_check(g: Graph, p: ObjectiveParams, z) -> bool:
     return bool(fast_mis_check_batch(g, p, z[:, None])[0])
 
 
-def fast_mis_check_batch(g: Graph, p: ObjectiveParams, Z: np.ndarray) -> np.ndarray:
+def fast_mis_check_batch(g: Graph, p: ObjectiveParams, Z: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
     """Column-wise fast check of an (n, k) binary matrix; no validation.
 
     Hot path for the solver, which thresholds immediately before calling.
+    counts, when given, is the product A Z as integer-valued float64 (the
+    neighbour counts the solver keeps); the check then computes no product
+    and overwrites counts. Both routes run the same formula on the same
+    integers, so they give the same verdict.
     """
-    grad = gradient_columns(g, p, Z)
+    grad = gradient_columns(g, p, Z) if counts is None else gradient_from_product(p, counts, Z)
     bad = np.where(Z == 1.0, grad > 0.0, grad < 0.0)
     return ~bad.any(axis=0)
 

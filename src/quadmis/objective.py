@@ -93,8 +93,17 @@ def gradient_columns(g: Graph, p: ObjectiveParams, X: np.ndarray) -> np.ndarray:
     """
     if X.ndim != 2 or X.shape[0] != g.n:
         raise DimensionError(f"expected (n, k) matrix with n={g.n}, got {X.shape}")
+    return gradient_from_product(p, g.adjacency_csr().dot(X), X)
+
+
+def gradient_from_product(p: ObjectiveParams, AX: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The gradient at X given the product AX = A X, computed in AX in place.
+
+    The one copy of the formula: gradient_columns runs it on a fresh
+    product, and the solver's check on the neighbour counts it keeps. The
+    same X and the same AX give the same gradient bit for bit.
+    """
     # (gamma + 1) A X - sum(X) + X - 1, evaluated in place left to right
-    AX = g.adjacency_csr().dot(X)
     if p.complement_term_enabled:
         AX *= p.gamma + 1.0
         AX -= _column_sums(X)

@@ -12,6 +12,10 @@ thresholded support changed since the last check are checked again. The
 gradient is kept from one iteration to the next and recomputed only for
 the columns the Adam step moved: a column whose iterate did not change
 (momentum often holds it at a box vertex) has the gradient it had.
+On dense graphs (see _keeps_counts) a block also keeps the check's
+neighbour counts A·Z and updates them from the adjacency rows of the nodes
+whose threshold flipped, instead of taking a product per check. The
+counts are exact integers, so this changes no bit either.
 Each column's arithmetic is the same whatever the width of the block it
 sits in, so dropping columns and skipping products change no result. The
 scalar entry points (adam_step, run_resampling) are width-1 calls into
@@ -24,7 +28,7 @@ import os
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,6 +59,22 @@ CHUNK = 32
 # the worker count, so results stay worker-count invariant.
 RESTART_ETA = 0.25
 RESTART_LAG = 4
+
+# A block keeps the check's neighbour counts only where a full product A·Z
+# clearly costs more than the few passes over the block that their upkeep
+# takes: an average degree of at least COUNTS_MIN_DEGREE and at least
+# COUNTS_MIN_ENTRIES adjacency entries times columns. Below either the
+# upkeep cost more than it saved (planted 3-SAT at degree 8.4; width-1
+# blocks on G(100, 2475)).
+COUNTS_MIN_DEGREE = 32
+COUNTS_MIN_ENTRIES = 1 << 16
+
+# Updating the counts costs about this many times as much per adjacency
+# entry as a CSR product does per entry and column (numpy gather and
+# scatter, about 10 ns, against about 0.5 ns). So a step that flips more
+# than 1/COUNTS_ENTRY_COST of the entries of the columns it changes takes a
+# product for them instead; early steps, which flip many nodes, do.
+COUNTS_ENTRY_COST = 16
 
 
 class NumericalError(RuntimeError):
@@ -99,15 +119,15 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not self.alpha > 0.0:
             raise InputError(f"alpha must be positive, got {self.alpha}")
-        if not all(k >= 1 for k in (self.iterations, self.batch_size, self.batch_count)):
-            raise InputError("iterations, batch_size and batch_count must be >= 1")
+        if not all(_is_count(k) and k >= 1 for k in (self.iterations, self.batch_size, self.batch_count)):
+            raise InputError("iterations, batch_size and batch_count must be integers >= 1")
         if self.time_limit is not None and not self.time_limit > 0.0:
             raise InputError(f"time_limit must be positive when set, got {self.time_limit}")
         if self.init_scheme not in SCHEMES:
             raise InputError(f"unknown init_scheme {self.init_scheme!r}; pick one of {SCHEMES}")
         if not self.eta >= 0.0:
             raise InputError(f"eta must be non-negative, got {self.eta}")
-        if not self.seed >= 0:
+        if not (_is_count(self.seed) and self.seed >= 0):
             raise InputError(f"seed must be a non-negative integer, got {self.seed}")
         if (self.mean is not None) != (self.init_scheme == "external-mean"):
             raise InputError("a mean vector is given if and only if init_scheme is 'external-mean'")
@@ -121,6 +141,25 @@ class SolverConfig:
 
     def params(self) -> ObjectiveParams:
         return ObjectiveParams(self.gamma, self.complement_term_enabled)
+
+    # The mean compares by value: the generated methods would compare the
+    # ndarray itself, which makes == ambiguous and hash() raise.
+    def _key(self) -> tuple:
+        mean = None if self.mean is None else tuple(self.mean.tolist())
+        return tuple(getattr(self, f.name) for f in fields(self) if f.name != "mean") + (mean,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+def _is_count(k) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
 
 
 @dataclass
@@ -173,7 +212,14 @@ def _run_block(g, p, X, start, iterations, alpha):
     function of the column. After the last iteration none is computed.
     Likewise only the live columns whose thresholded support changed are
     checked; the check is a pure function of that support, so an
-    unchanged one is known to fail again. Every column sees exactly the
+    unchanged one is known to fail again. A gradient is tested for
+    finiteness once, when it is computed; a column that fails drops at the
+    top of the next iteration.
+
+    Where _keeps_counts(n, m, width) holds, C keeps the neighbour counts
+    A·Z of the live columns (else it is None). One mask of flipped entries
+    gives both the changed columns and the update of C, and the check
+    reads C instead of taking the product A·Z. Every column sees exactly the
     arithmetic it would see in the full block (gradient_columns is
     width-invariant bit for bit), so results do not depend on which other
     columns are still live or moved, nor on scheduling.
@@ -184,24 +230,30 @@ def _run_block(g, p, X, start, iterations, alpha):
     M2 = np.zeros_like(X)
     cols = np.arange(width)
     Z = np.zeros(X.shape, dtype=bool)  # support of the live columns at the last check
+    C = np.zeros_like(X) if _keeps_counts(g.n, g.m, width) else None  # A·Z, or None
     found: list[tuple[int, tuple[int, ...], int] | None] = [None] * width
     failures = 0
     G = gradient_columns(g, p, X)
+    finite = _finite_columns(G)
     for t in range(1, iterations + 1):
-        finite = np.isfinite(G).all(axis=0)
         if not finite.all():
             failures += int((~finite).sum())
             cols = cols[finite]
             if cols.size == 0:
                 break
-            X, M1, M2, G, Z = _keep(finite, X, M1, M2, G, Z)
+            X, M1, M2, G, Z, C = _keep(finite, X, M1, M2, G, Z, C)
         X, moved = _adam_update(X, M1, M2, G, t, alpha)
         Znew = X > 0.0
-        changed = _differs(Znew, Z) if t > 1 else np.ones(cols.size, dtype=bool)
+        flips = Znew != Z
+        changed = _per_column(np.logical_or, flips) if t > 1 else np.ones(cols.size, dtype=bool)
+        if C is not None:
+            _update_counts(g.adjacency_csr(), C, Znew, flips)
         Z = Znew
         if changed.any():
             ok = np.zeros(cols.size, dtype=bool)
-            ok[changed] = checker.fast_mis_check_batch(g, p, np.compress(changed, Z, axis=1).astype(np.float64))
+            counts = None if C is None else np.compress(changed, C, axis=1)
+            ok[changed] = checker.fast_mis_check_batch(
+                g, p, np.compress(changed, Z, axis=1).astype(np.float64), counts)
             if ok.any():
                 for c in np.flatnonzero(ok):
                     j = int(cols[c])
@@ -210,7 +262,7 @@ def _run_block(g, p, X, start, iterations, alpha):
                 cols = cols[live]
                 if cols.size == 0:
                     break
-                X, M1, M2, Z = _keep(live, X, M1, M2, Z)
+                X, M1, M2, Z, C = _keep(live, X, M1, M2, Z, C)
                 moved = moved[live]
                 if not moved.all():  # else G is recomputed below
                     G = np.compress(live, G, axis=1)
@@ -218,29 +270,83 @@ def _run_block(g, p, X, start, iterations, alpha):
             break
         if moved.all():
             G = gradient_columns(g, p, X)
-        elif moved.any():
-            G[:, moved] = gradient_columns(g, p, np.compress(moved, X, axis=1))
+            finite = _finite_columns(G)
+        else:
+            finite = ~moved  # a kept gradient is finite: the others dropped with their columns
+            if moved.any():
+                fresh = gradient_columns(g, p, np.compress(moved, X, axis=1))
+                G[:, moved] = fresh
+                finite[moved] = _finite_columns(fresh)
     return found, failures, width
+
+
+def _keeps_counts(n, m, width):
+    """Whether a block keeps the check's neighbour counts; see COUNTS_MIN_DEGREE."""
+    return 2 * m >= COUNTS_MIN_DEGREE * n and 2 * m * width >= COUNTS_MIN_ENTRIES
+
+
+def _update_counts(A, C, Znew, D):
+    """Bring the neighbour counts C = A·Z to A·Znew in place; D is Znew != Z.
+
+    C is a C-ordered float64 (n, k) matrix of integers. Each flipped node
+    adds its adjacency row to its column's counts, or subtracts it, in
+    slices of about C.size entries so that no transient array outgrows C.
+    When more than 1/COUNTS_ENTRY_COST of the entries of the columns with
+    a flip flipped, those columns get a product instead.
+    """
+    n, k = C.shape
+    hit = _per_column(np.logical_or, D)
+    if np.count_nonzero(D) * COUNTS_ENTRY_COST > n * np.count_nonzero(hit):
+        C[:, hit] = A.dot(np.compress(hit, Znew, axis=1).astype(np.float64))
+        return
+    flips = np.flatnonzero(D)  # node * k + column
+    nodes, cols = np.divmod(flips, k)
+    lens = A.indptr[nodes + 1] - A.indptr[nodes]
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if ends.size else 0
+    offsets = A.indptr[nodes] - ends + lens  # entry e of the flips' rows is A.indices[offset + e]
+    weights = np.where(Znew.reshape(-1)[flips], 1.0, -1.0)
+    cuts = [0, *np.searchsorted(ends, np.arange(C.size, total, C.size)).tolist(), flips.size]
+    for a, b in zip(cuts, cuts[1:]):
+        if a == b:
+            continue
+        ln = lens[a:b]
+        pos = np.repeat(offsets[a:b], ln)
+        pos += np.arange(ends[a] - lens[a], ends[b - 1])
+        np.multiply(A.indices[pos], k, out=pos)  # flip into C: neighbour * k + column
+        pos += np.repeat(cols[a:b], ln)
+        np.add.at(C.reshape(-1), pos, np.repeat(weights[a:b], ln))
 
 
 def _keep(mask, *arrays):
     """The columns of each array that mask selects, as C-ordered copies."""
-    return [np.compress(mask, a, axis=1) for a in arrays]
+    return [None if a is None else np.compress(mask, a, axis=1) for a in arrays]
+
+
+def _finite_columns(G):
+    """Mask of the columns of G whose entries are all finite."""
+    return _per_column(np.logical_and, np.isfinite(G))
 
 
 def _differs(A, B):
-    """Mask of the columns in which two (n, k) matrices differ.
+    """Mask of the columns in which two (n, k) matrices differ."""
+    return _per_column(np.logical_or, A != B)
 
-    The same as (A != B).any(axis=0), which numpy reduces one k-wide row
-    at a time. Folding 32 slabs of rows together first runs most of the
-    reduction over long rows: about twice as fast at n = 1290, k = 32.
+
+def _per_column(op, D):
+    """op.reduce(D, axis=0) for a C-ordered boolean (n, k) matrix D, where
+    op is np.logical_or (any) or np.logical_and (all).
+
+    numpy reduces along axis 0 one k-wide row at a time. Folding 32 slabs
+    of rows together first runs most of the reduction over long rows:
+    about twice as fast at n = 1290, k = 32.
     """
-    D = A != B
     n, k = D.shape
     head = n - n % 32
     if k == 1 or head == 0:
-        return D.any(axis=0)
-    return D[head:].any(axis=0) | D[:head].reshape(32, -1).any(axis=0).reshape(-1, k).any(axis=0)
+        return op.reduce(D, axis=0)
+    folded = op.reduce(op.reduce(D[:head].reshape(32, -1), axis=0).reshape(-1, k), axis=0)
+    return op(op.reduce(D[head:], axis=0), folded)
 
 
 def _adam_update(X, M1, M2, G, t, alpha):

@@ -99,6 +99,67 @@ def test_kernel_matches_full_width_reference(name, g, p, width, iterations, alph
     assert any(item is not None for item in got[0])
 
 
+@pytest.mark.parametrize("keep", [True, False], ids=["counts", "products"])
+@pytest.mark.parametrize("name,g,p,width,iterations,alpha", [
+    *KERNEL_CASES,
+    ("width-1", gen_gnm(100, 2475, 0), ObjectiveParams(100.0), 1, 400, 0.5),
+], ids=[c[0] for c in KERNEL_CASES] + ["width-1"])
+def test_both_check_paths_match_reference(monkeypatch, keep, name, g, p, width, iterations, alpha):
+    # keeping the neighbour counts or taking a product per check changes no bit
+    monkeypatch.setattr(opt, "_keeps_counts", lambda n, m, w: keep)
+    X = np.random.default_rng(width).random((g.n, width))
+    got = opt._run_block(g, p, X, 64, iterations, alpha)
+    assert got == _frozen_run_block(g, p, X, 64, iterations, alpha)
+    assert any(item is not None for item in got[0])
+
+
+def test_keeps_counts_rule():
+    # dense and wide blocks keep counts; sparse graphs and width-1 blocks on
+    # small graphs take a product per check
+    assert opt._keeps_counts(800, 159800, opt.CHUNK)  # gnm800
+    assert opt._keeps_counts(700, 36700, opt.CHUNK)  # er700
+    assert not opt._keeps_counts(1290, 5418, opt.CHUNK)  # sat1290, degree 8.4
+    assert not opt._keeps_counts(100, 2475, 1)  # resample100
+    assert not opt._keeps_counts(0, 0, opt.CHUNK)
+
+
+def _count_cases():
+    # (name, graph, Z, Znew, path): "update" adds the flipped rows in one
+    # slice, "slices" in several, "product" takes a product
+    rng = np.random.default_rng(11)
+    g = gen_er(120, 0.3, 6)
+    Z = rng.random((g.n, 8)) < 0.4
+    few, many = Z.copy(), Z.copy()
+    few[rng.integers(0, g.n, 6), rng.integers(0, 8, 6)] ^= True
+    many[rng.choice(g.n, 5, replace=False)[:, None], np.arange(8)] ^= True
+    yield "random", g, Z, few, "update"
+    yield "none", g, Z, Z.copy(), "update"
+    yield "slices", g, Z, many, "slices"
+    yield "all", g, Z, ~Z, "product"
+    yield "one-column", g, Z[:, :1].copy(), ~Z[:, :1], "product"
+    yield "from-empty", g, np.zeros((g.n, 8), dtype=bool), rng.random((g.n, 8)) < 0.5, "product"
+    # K20 plus 30 isolated nodes; flips of isolated nodes add nothing
+    isolated = Graph.from_edge_list(50, [(u, v) for u in range(20) for v in range(u + 1, 20)])
+    Zi = rng.random((isolated.n, 4)) < 0.5
+    Zi_new = Zi.copy()
+    Zi_new[[0, 25, 40, 1, 30, 49, 33], [0, 0, 0, 1, 1, 2, 3]] ^= True
+    yield "isolated", isolated, Zi, Zi_new, "update"
+    yield "isolated-all", isolated, Zi, ~Zi, "product"
+
+
+@pytest.mark.parametrize("case", list(_count_cases()), ids=lambda c: c[0])
+def test_update_counts_matches_product(case):
+    _, g, Z, Znew, path = case
+    A = g.adjacency_csr()
+    D = Znew != Z
+    C = A.dot(Z.astype(np.float64))
+    product = D.sum() * opt.COUNTS_ENTRY_COST > g.n * D.any(axis=0).sum()
+    entries = (g.degrees[:, None] * D).sum()
+    assert path == ("product" if product else "slices" if entries > C.size else "update")
+    opt._update_counts(A, C, Znew, D)
+    assert np.array_equal(C, A.dot(Znew.astype(np.float64)))
+
+
 def test_kernel_matches_reference_with_partial_poison(monkeypatch):
     g = gen_er(200, 0.1, 1)
     p = ObjectiveParams(200.0)
@@ -148,6 +209,9 @@ def test_differs_matches_plain_reduction(n, k):
         B = A.copy()
         B[rng.integers(0, n, flips), rng.integers(0, k, flips)] += 1.0
         assert np.array_equal(opt._differs(A, B), (A != B).any(axis=0))
+        # the finiteness mask folds its reduction the same way
+        B[rng.integers(0, n, flips), rng.integers(0, k, flips)] = [np.nan, np.inf, -np.inf][:flips]
+        assert np.array_equal(opt._finite_columns(B), np.isfinite(B).all(axis=0))
 
 
 def complete_graph(n):
@@ -322,9 +386,38 @@ def test_config_validation():
         dict(time_limit=float("nan")),
         dict(init_scheme="external-mean", mean=np.full(4, np.nan)),
         dict(init_scheme="degree", mean=np.full(4, 0.5)),
+        # a count is a Python or numpy integer, not a float or a bool
+        dict(iterations=2.5),
+        dict(batch_size=4.5),
+        dict(batch_count=True),
+        dict(seed=1.5),
     ):
         with pytest.raises(InputError):
             SolverConfig(gamma=5.0, **bad)
+    cfg = SolverConfig(gamma=5.0, iterations=np.int64(3), batch_size=np.int32(4), batch_count=2, seed=np.uint8(1))
+    assert cfg.iterations == 3
+
+
+def _mean_config(mean):
+    return SolverConfig(gamma=5.0, init_scheme="external-mean", mean=mean)
+
+
+def test_configs_with_equal_means_compare_equal():
+    a, b = _mean_config([0.5, 0.2]), _mean_config(np.array([0.5, 0.2]))
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+
+
+def test_configs_with_different_means_compare_unequal():
+    assert _mean_config([0.5, 0.2]) != _mean_config([0.5, 0.3])
+    assert _mean_config([0.5, 0.2]) != _mean_config([0.5, 0.2, 0.1])
+    assert _mean_config([0.5, 0.2]) != replace(_mean_config([0.5, 0.2]), seed=1)
+    assert SolverConfig(gamma=5.0) != _mean_config([0.5, 0.2])
+
+
+def test_config_with_mean_hashes():
+    configs = {_mean_config([0.5, 0.2]), _mean_config([0.5, 0.2]), _mean_config([0.1, 0.2]), SolverConfig(gamma=5.0)}
+    assert len(configs) == 3
 
 
 def _frozen_gradient(g, p, x):
