@@ -9,19 +9,16 @@ the same graph as a baseline.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import InputError
 from .generators import gen_er, gen_gnm, gnm_edge_count
 from .graph import Graph
 from .graph_io import load_graph
-from .objective import gamma_select
-from .optimizer import SolverConfig, _resolve_workers, solve
+from .objective import GAMMA_MODES, gamma_select
+from .optimizer import SolverConfig, _is_count, _resolve_workers, solve
 from .oracle import greedy_min_degree
 
 # Named hyperparameter bundles for the benchmark families this solver
@@ -42,48 +39,36 @@ PRESETS: dict[str, dict] = {
 }
 
 # SolverConfig's own defaults, with gamma as a selection mode.
-_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverConfig)} | {"gamma": "strict-n"}
+_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)} | {"gamma": "strict-n"}
 
-# The JSON types a suite's config may give each field. The time limit is a
-# key of the suite itself, not of its config.
-_SUITE_FIELDS = {
-    "gamma": (str, int, float),
-    "alpha": (int, float),
-    "iterations": int,
-    "batch_size": int,
-    "batch_count": int,
-    "init_scheme": str,
-    "eta": (int, float),
-    "seed": int,
-    "complement_term_enabled": bool,
-    "mean": (list, type(None)),
-}
+
+def _settings(preset, overrides: dict) -> dict:
+    """SolverConfig's defaults, then the preset's values, then the overrides.
+
+    An override that is None keeps the value under it, so CLI flags and
+    suite nulls can pass through unconditionally. Raises InputError for an
+    unknown preset or field name.
+    """
+    if preset is not None and (not isinstance(preset, str) or preset not in PRESETS):
+        raise InputError(f"unknown preset {preset!r}; pick one of {sorted(PRESETS)}")
+    unknown = set(overrides) - set(_DEFAULTS)
+    if unknown:
+        raise InputError(f"unknown config fields: {sorted(unknown)}")
+    return _DEFAULTS | PRESETS.get(preset, {}) | {k: v for k, v in overrides.items() if v is not None}
 
 
 def resolve_config(g: Graph, preset: str | None = None, **overrides) -> SolverConfig:
     """Build a SolverConfig for a graph from a preset plus overrides.
 
-    gamma accepts "wei-floor", "strict-n", or a number and is resolved
-    against the graph here. Overrides that are None are ignored so CLI
-    flags can pass through unconditionally.
+    gamma accepts one of GAMMA_MODES or a number and is resolved against
+    the graph here.
     """
-    fields = dict(_DEFAULTS)
-    if preset is not None:
-        if preset not in PRESETS:
-            raise InputError(f"unknown preset {preset!r}; pick one of {sorted(PRESETS)}")
-        fields.update(PRESETS[preset])
-    unknown = set(overrides) - set(fields)
-    if unknown:
-        raise InputError(f"unknown config fields: {sorted(unknown)}")
-    fields.update({k: v for k, v in overrides.items() if v is not None})
-    if fields["mean"] is not None and np.shape(fields["mean"]) != (g.n,):
-        raise InputError(f"mean vector has shape {np.shape(fields['mean'])}, graph has {g.n} nodes")
-    params = gamma_select(g, fields.pop("gamma"), fields.pop("complement_term_enabled"))
-    return SolverConfig(
-        gamma=params.gamma,
-        complement_term_enabled=params.complement_term_enabled,
-        **fields,
-    )
+    settings = _settings(preset, overrides)
+    settings["gamma"] = gamma_select(g, settings["gamma"], settings["complement_term_enabled"]).gamma
+    cfg = SolverConfig(**settings)
+    if cfg.mean is not None and cfg.mean.shape != (g.n,):
+        raise InputError(f"mean vector has shape {cfg.mean.shape}, graph has {g.n} nodes")
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -195,13 +180,9 @@ def parse_suite(text: str) -> BenchSuite:
             instances.append(_parse_instance(item))
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad instance {item!r}: {exc}") from None
-    time_limit = doc.get("time_limit")
-    if time_limit is not None and (isinstance(time_limit, bool) or not isinstance(time_limit, (int, float))):
-        raise InputError(f"suite time_limit must be a number or null, got {time_limit!r}")
     options = dict(doc.get("config", {}))
     preset = options.pop("preset", None)
-    if preset is not None and (not isinstance(preset, str) or preset not in PRESETS):
-        raise InputError(f"unknown preset {preset!r}; pick one of {sorted(PRESETS)}")
+    time_limit = doc.get("time_limit")
     _check_config(preset, options, time_limit)
     return BenchSuite(
         instances=tuple(instances),
@@ -211,62 +192,49 @@ def parse_suite(text: str) -> BenchSuite:
     )
 
 
-def _check_config(preset: str | None, options: dict, time_limit) -> None:
+def _check_config(preset, options: dict, time_limit) -> None:
     """Raise InputError for a suite config that no instance could run with.
 
-    Field names and JSON types are checked here, and the value ranges by
-    building the SolverConfig once, with a fixed gamma standing in for a
-    selection mode (modes resolve per graph).
+    Builds the SolverConfig once, with a fixed gamma standing in for a
+    selection mode (modes resolve per graph), so SolverConfig checks every
+    value. The time limit is a key of the suite itself, not of its config.
     """
-    unknown = set(options) - set(_SUITE_FIELDS)
-    if unknown:
-        raise InputError(f"unknown config fields: {sorted(unknown)}")
-    for name, value in options.items():
-        kinds = _SUITE_FIELDS[name]
-        if isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds):
-            raise InputError(f"config field {name} has a value of the wrong type: {value!r}")
-    fields = dict(_DEFAULTS) | PRESETS.get(preset, {}) | options | {"time_limit": time_limit}
-    gamma = fields.pop("gamma")
-    if isinstance(gamma, str):
-        if gamma not in ("wei-floor", "strict-n"):
-            raise InputError(f"unknown gamma mode: {gamma!r}")
-        gamma = 2.0
-    try:
-        SolverConfig(gamma=gamma, **fields)
-    except (TypeError, ValueError) as exc:  # a mean list that is not all numbers raises either
-        raise InputError(f"bad suite config: {exc}") from None
+    if "time_limit" in options:
+        raise InputError("time_limit is a key of the suite, not of its config")
+    settings = _settings(preset, options | {"time_limit": time_limit})
+    if isinstance(settings["gamma"], str):
+        if settings["gamma"] not in GAMMA_MODES:
+            raise InputError(f"unknown gamma mode: {settings['gamma']!r}")
+        settings["gamma"] = 2.0
+    SolverConfig(**settings)
 
 
 def _parse_instance(item: dict) -> BenchInstance:
-    seed = int(item.get("seed", 0))
+    seed = _count(item.get("seed", 0), "seed")
     if "er" in item:
         n, p = item["er"]
-        return BenchInstance("er", n=int(n), p=float(p), seed=seed)
+        return BenchInstance("er", n=_count(n, "n"), p=float(p), seed=seed)
     if "gnm" in item:
         vals = item["gnm"]
-        m = int(vals[1]) if len(vals) > 1 else None
-        return BenchInstance("gnm", n=int(vals[0]), m=m, seed=seed)
+        if not isinstance(vals, list) or len(vals) not in (1, 2):
+            raise ValueError("gnm takes [n] or [n, m]")
+        m = _count(vals[1], "m") if len(vals) == 2 else None
+        return BenchInstance("gnm", n=_count(vals[0], "n"), m=m, seed=seed)
     if "file" in item:
         return BenchInstance("file", path=str(item["file"]))
     raise ValueError("instance needs one of er/gnm/file")
 
 
+def _count(value, name: str) -> int:
+    if not _is_count(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def write_summary(summary: BenchSummary, fmt: str = "json") -> str:
     if fmt == "json":
         doc = {
-            "rows": [
-                {
-                    "source": r.source,
-                    "n": r.n,
-                    "m": r.m,
-                    "best_size": r.best_size,
-                    "greedy_size": r.greedy_size,
-                    "mis_found_count": r.mis_found_count,
-                    "wall_time_ms": round(r.wall_time_ms, 3),
-                    "error": r.error,
-                }
-                for r in summary.rows
-            ],
+            "rows": [asdict(r) | {"wall_time_ms": round(r.wall_time_ms, 3)} for r in summary.rows],
             "mean_best": summary.mean_best,
             "mean_greedy": summary.mean_greedy,
             "total_wall_ms": round(summary.total_wall_ms, 3),
@@ -275,17 +243,14 @@ def write_summary(summary: BenchSummary, fmt: str = "json") -> str:
     if fmt == "csv":
         # labels and error texts contain commas, so fields are quoted as needed
         buf = io.StringIO()
-        out = csv.writer(buf, lineterminator="\n")
-        out.writerow(["source", "n", "m", "best_size", "greedy_size", "mis_found_count", "wall_time_ms", "error"])
+        out = csv.DictWriter(buf, [f.name for f in fields(BenchRow)], restval="", lineterminator="\n")
+        out.writeheader()
         for r in summary.rows:
-            out.writerow([
-                r.source, r.n, r.m, r.best_size, r.greedy_size, r.mis_found_count,
-                f"{r.wall_time_ms:.3f}", r.error,
-            ])
+            out.writerow(asdict(r) | {"wall_time_ms": f"{r.wall_time_ms:.3f}"})
         # csv writes None as an empty field
-        out.writerow([
-            "summary", "", "", summary.mean_best, summary.mean_greedy, "",
-            f"{summary.total_wall_ms:.3f}", "",
-        ])
+        out.writerow({
+            "source": "summary", "best_size": summary.mean_best, "greedy_size": summary.mean_greedy,
+            "wall_time_ms": f"{summary.total_wall_ms:.3f}",
+        })
         return buf.getvalue()
     raise ValueError(f"unknown summary format {fmt!r}")

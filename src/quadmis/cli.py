@@ -11,10 +11,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .bench import bench_suite, parse_suite, resolve_config, write_summary
+from .bench import PRESETS, bench_suite, parse_suite, resolve_config, write_summary
 from .checker import direct_mis_check, fast_mis_check
 from .errors import InputError
 from .generators import gen_er, gen_gnm, gnm_edge_count
@@ -23,7 +24,7 @@ from .graph_io import load_graph, write_dimacs, write_edge_list, write_report
 from .initialization import load_mean_file
 from .objective import gamma_select
 from .oracle import exact_mis
-from .optimizer import NumericalError, solve
+from .optimizer import NumericalError, SolverConfig, solve
 
 _INPUT_ERRORS = (InputError, OSError)
 
@@ -72,25 +73,17 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
                     help="variance of the noise around the initial mean")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--time-limit", type=float, default=None)
-    sp.add_argument("--no-complement-term", action="store_true",
+    sp.add_argument("--no-complement-term", action="store_false", default=None,
+                    dest="complement_term_enabled",
                     help="drop the reward for adding non-adjacent nodes (diagnostic)")
-    sp.add_argument("--preset", choices=("er", "satlib", "gnm"), default=None)
+    sp.add_argument("--preset", choices=tuple(PRESETS), default=None)
     sp.add_argument("--workers", type=int, default=None)
 
 
 def _solver_overrides(args: argparse.Namespace) -> dict:
-    over = dict(
-        gamma=args.gamma,
-        alpha=args.alpha,
-        iterations=args.iterations,
-        batch_size=args.batch_size,
-        batch_count=args.batch_count,
-        eta=args.eta,
-        seed=args.seed,
-        time_limit=args.time_limit,
-    )
-    if args.no_complement_term:
-        over["complement_term_enabled"] = False
+    """The solver flags by SolverConfig field name; --init sets two fields."""
+    names = {f.name for f in fields(SolverConfig)}
+    over = {name: value for name, value in vars(args).items() if name in names}
     if args.init is not None:
         if args.init.startswith("mean:"):
             over["init_scheme"] = "external-mean"

@@ -14,6 +14,7 @@ records are legal and collapse during graph construction.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 from .errors import InputError
 from .graph import Graph
@@ -141,19 +142,11 @@ def load_graph(path, fmt: str | None = None) -> Graph:
 def report_to_dict(report: SolveReport) -> dict:
     """Stable-ordered dict form of a solve report, ready for json.dumps."""
     cfg = report.config
-    config = {}
-    if cfg is not None:
-        config = {
-            "gamma": cfg.gamma,
-            "alpha": cfg.alpha,
-            "iterations": cfg.iterations,
-            "batch_size": cfg.batch_size,
-            "batch_count": cfg.batch_count,
-            "init_scheme": cfg.init_scheme,
-            "eta": cfg.eta,
-            "time_limit": cfg.time_limit,
-            "complement_term_enabled": cfg.complement_term_enabled,
-        }
+    # every setting in field order; the seed goes with the instance, and the
+    # mean, a whole vector, is left out
+    config = {} if cfg is None else {
+        f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("seed", "mean")
+    }
     return {
         "instance": {
             "n": report.n,

@@ -137,18 +137,20 @@ def gamma_floor_wei(g: Graph) -> int:
     return math.ceil(total) + 1
 
 
+# The edges-penalty selection modes, each with the value it gives a graph.
+# "strict-n" guarantees that every binary vector passing the fast check is a
+# maximal independent set; "wei-floor" is the cheaper floor that only
+# guarantees maximum sets are fixed points.
+GAMMA_MODES = {"wei-floor": gamma_floor_wei, "strict-n": lambda g: g.n}
+
+
 def gamma_select(g: Graph, mode, complement_term_enabled: bool = True) -> ObjectiveParams:
     """Resolve an edges-penalty choice against a graph.
 
-    mode is "wei-floor", "strict-n", or a fixed number greater than 1.
-    "strict-n" guarantees that every binary vector passing the fast check
-    is a maximal independent set; "wei-floor" is the cheaper floor that
-    only guarantees maximum sets are fixed points.
+    mode is one of GAMMA_MODES or a fixed number greater than 1.
     """
-    if mode == "wei-floor":
-        value = float(gamma_floor_wei(g))
-    elif mode == "strict-n":
-        value = float(g.n)
+    if isinstance(mode, str) and mode in GAMMA_MODES:
+        value = float(GAMMA_MODES[mode](g))
     elif isinstance(mode, (int, float)) and not isinstance(mode, bool):
         if not mode > 1:
             raise InvalidGamma("fixed gamma must exceed 1")

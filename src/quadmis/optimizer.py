@@ -100,8 +100,10 @@ class SolverConfig:
     to derive it from a graph first. init_scheme draws the starts of the
     first batch; solve() draws later ones around the best set so far.
     mean goes with the external-mean scheme only. This is the one place
-    the solver settings are checked (InputError; InvalidGamma for gamma),
-    and each check is written so that NaN fails it.
+    the solver settings are checked, for type and range (InputError;
+    InvalidGamma for gamma), and each range check is written so that NaN
+    fails it. The fields are the one list of the settings: suites, the CLI
+    overrides and the report's config derive from them.
     """
 
     gamma: float
@@ -117,6 +119,12 @@ class SolverConfig:
     mean: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        for name in ("gamma", "alpha", "eta", "time_limit"):
+            value = getattr(self, name)
+            if not (_is_real(value) or value is None and name == "time_limit"):
+                raise InputError(f"{name} must be a number and not a bool, got {value!r}")
+        if not isinstance(self.complement_term_enabled, bool):
+            raise InputError(f"complement_term_enabled must be a bool, got {self.complement_term_enabled!r}")
         if not self.alpha > 0.0:
             raise InputError(f"alpha must be positive, got {self.alpha}")
         if not all(_is_count(k) and k >= 1 for k in (self.iterations, self.batch_size, self.batch_count)):
@@ -132,8 +140,11 @@ class SolverConfig:
         if (self.mean is not None) != (self.init_scheme == "external-mean"):
             raise InputError("a mean vector is given if and only if init_scheme is 'external-mean'")
         if self.mean is not None:
-            m = np.array(self.mean, dtype=np.float64)
-            if m.ndim != 1 or not ((m >= 0.0) & (m <= 1.0)).all():
+            try:
+                m = np.array(self.mean, dtype=np.float64)
+            except (TypeError, ValueError):
+                m = None
+            if m is None or m.ndim != 1 or not ((m >= 0.0) & (m <= 1.0)).all():
                 raise InputError("mean must be a vector with entries in [0, 1]")
             m.setflags(write=False)
             object.__setattr__(self, "mean", m)
@@ -160,6 +171,11 @@ class SolverConfig:
 def _is_count(k) -> bool:
     """A Python or numpy integer, not a bool."""
     return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+
+
+def _is_real(x) -> bool:
+    """A Python or numpy integer or float, not a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
 @dataclass
@@ -247,7 +263,7 @@ def _run_block(g, p, X, start, iterations, alpha):
         flips = Znew != Z
         changed = _per_column(np.logical_or, flips) if t > 1 else np.ones(cols.size, dtype=bool)
         if C is not None:
-            _update_counts(g.adjacency_csr(), C, Znew, flips)
+            _update_counts(g.adjacency_csr(), C, Znew, flips, changed)
         Z = Znew
         if changed.any():
             ok = np.zeros(cols.size, dtype=bool)
@@ -285,8 +301,11 @@ def _keeps_counts(n, m, width):
     return 2 * m >= COUNTS_MIN_DEGREE * n and 2 * m * width >= COUNTS_MIN_ENTRIES
 
 
-def _update_counts(A, C, Znew, D):
+def _update_counts(A, C, Znew, D, hit):
     """Bring the neighbour counts C = A·Z to A·Znew in place; D is Znew != Z.
+
+    hit marks the columns of D with a flip, or more of them: a marked column
+    without one has no row to add and a product of it keeps its counts.
 
     C is a C-ordered float64 (n, k) matrix of integers. Each flipped node
     adds its adjacency row to its column's counts, or subtracts it, in
@@ -295,7 +314,6 @@ def _update_counts(A, C, Znew, D):
     a flip flipped, those columns get a product instead.
     """
     n, k = C.shape
-    hit = _per_column(np.logical_or, D)
     if np.count_nonzero(D) * COUNTS_ENTRY_COST > n * np.count_nonzero(hit):
         C[:, hit] = A.dot(np.compress(hit, Znew, axis=1).astype(np.float64))
         return

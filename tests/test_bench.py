@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -8,13 +9,17 @@ from quadmis import (
     PRESETS,
     BenchInstance,
     BenchSuite,
+    SolverConfig,
     bench_suite,
     gen_gnm,
     greedy_min_degree,
     parse_suite,
     resolve_config,
+    solve,
     write_summary,
 )
+from quadmis.errors import InputError
+from quadmis.graph_io import report_to_dict
 
 
 def test_preset_tables():
@@ -60,6 +65,23 @@ def test_resolve_config_rejects_junk(fig1):
         resolve_config(fig1, preset="huge")
     with pytest.raises(ValueError, match="unknown config fields"):
         resolve_config(fig1, stride=3)
+    with pytest.raises(InputError, match="complement_term_enabled"):  # a truthy string, not True
+        resolve_config(fig1, complement_term_enabled="no")
+
+
+def test_settings_follow_the_solver_config_fields(fig1):
+    # the report lists every setting in field order; the seed goes with the instance
+    names = [f.name for f in fields(SolverConfig) if f.name not in ("seed", "mean")]
+    rep = solve(fig1, resolve_config(fig1, batch_size=4, iterations=20), workers=1)
+    assert list(report_to_dict(rep)["config"]) == names
+    # a suite may name every field of its config at the default, or give null
+    # for the default; the time limit is a key of the suite itself
+    config = {f.name: f.default for f in fields(SolverConfig) if f.name not in ("gamma", "time_limit")}
+    config["gamma"] = "strict-n"
+    for doc in (config, dict.fromkeys(config)):
+        suite = parse_suite(json.dumps({"config": doc, "time_limit": None, "instances": [{"gnm": [5]}]}))
+        cfg = resolve_config(fig1, suite.preset, time_limit=suite.time_limit, **suite.options)
+        assert cfg == resolve_config(fig1)
 
 
 def test_parse_suite():

@@ -138,6 +138,10 @@ def test_setting_errors_exit_2(tmp_path, graph_file, capsys):
         {"config": {"bogus": 1}, "instances": [{"gnm": [10]}]},
         {"time_limit": 0, "instances": [{"gnm": [10]}]},
         {"config": {"mean": [0.5] * 10}, "instances": [{"gnm": [10]}]},
+        {"config": {"time_limit": 5}, "instances": [{"gnm": [10]}]},
+        {"instances": [{"gnm": []}]},
+        {"instances": [{"gnm": [10.9]}]},
+        {"instances": [{"gnm": [10], "seed": 1.7}]},
     )):
         path = tmp_path / f"junk{i}.json"
         path.write_text(json.dumps(doc))

@@ -156,7 +156,7 @@ def test_update_counts_matches_product(case):
     product = D.sum() * opt.COUNTS_ENTRY_COST > g.n * D.any(axis=0).sum()
     entries = (g.degrees[:, None] * D).sum()
     assert path == ("product" if product else "slices" if entries > C.size else "update")
-    opt._update_counts(A, C, Znew, D)
+    opt._update_counts(A, C, Znew, D, D.any(axis=0))
     assert np.array_equal(C, A.dot(Znew.astype(np.float64)))
 
 
@@ -391,11 +391,20 @@ def test_config_validation():
         dict(batch_size=4.5),
         dict(batch_count=True),
         dict(seed=1.5),
+        # a real setting is a number and not a bool; the complement toggle is a bool
+        dict(alpha=True),
+        dict(eta=True),
+        dict(time_limit=True),
+        dict(gamma="5"),
+        dict(complement_term_enabled="no"),
+        dict(complement_term_enabled=0),
     ):
         with pytest.raises(InputError):
-            SolverConfig(gamma=5.0, **bad)
+            SolverConfig(**(dict(gamma=5.0) | bad))
     cfg = SolverConfig(gamma=5.0, iterations=np.int64(3), batch_size=np.int32(4), batch_count=2, seed=np.uint8(1))
     assert cfg.iterations == 3
+    cfg = SolverConfig(gamma=np.float32(5.0), alpha=np.float64(0.5), eta=np.float32(1.0), time_limit=np.int64(2))
+    assert cfg.alpha == 0.5 and cfg.time_limit == 2
 
 
 def _mean_config(mean):
