@@ -2,8 +2,8 @@
 
 The solver relaxes set membership to [0,1]^n, minimizes a quadratic
 penalty/reward objective with clipped Adam steps from many random starts,
-and rounds any iterate whose sign pattern certifies a maximal independent
-set.
+and keeps every iterate whose thresholded support is a maximal
+independent set.
 """
 
 from .bench import (

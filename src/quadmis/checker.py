@@ -2,13 +2,15 @@
 
 Two independent routes:
 
-* fast_mis_check reduces a projected-gradient fixed-point test at a binary
-  point to sign conditions on the gradient, one sparse matvec total (none
-  when the caller already holds the neighbour counts A z).
+* fast_mis_check reads the definition off the neighbour counts c = A z: a
+  binary z is a maximal independent set iff its members are exactly the
+  nodes with no neighbour in it, (c == 0) == z. One sparse matvec total,
+  none when the caller already holds the counts.
 * direct_mis_check walks every node's neighborhood, the plain reference.
 
-They agree on every binary vector whenever gamma >= n; the solver uses the
-fast route and the test suite pins the agreement.
+Neither depends on gamma. With gamma >= n the projected-gradient fixed
+points at binary points are exactly these sets, which the test suite pins
+against the gradient's sign pattern.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph, NodeSet
-from .objective import ObjectiveParams, _as_assignment, gradient_columns, gradient_from_product
-from .objective import gradient  # noqa: F401  (perfbench/tracer.py wraps this name)
+from .objective import _as_assignment
+from .objective import gradient, gradient_columns  # noqa: F401  (perfbench/tracer.py wraps these names)
 
 
 class ContractViolation(ValueError):
@@ -39,32 +41,23 @@ def _require_binary(z: np.ndarray) -> None:
         raise ContractViolation("vector must be exactly binary")
 
 
-def fast_mis_check(g: Graph, p: ObjectiveParams, z) -> bool:
-    """True iff z is a fixed point of a projected gradient step.
-
-    At a binary z the projection equality collapses to sign conditions:
-    the gradient must be >= 0 wherever z_v = 0 and <= 0 wherever z_v = 1.
-    With gamma >= n this certifies exactly the maximal independent sets;
-    below that regime the test is still well defined but may accept
-    vectors that a maximality scan rejects.
-    """
+def fast_mis_check(g: Graph, z) -> bool:
+    """True iff the binary vector z is the indicator of a maximal independent set."""
     z = _as_assignment(g, z)
     _require_binary(z)
-    return bool(fast_mis_check_batch(g, p, z[:, None])[0])
+    return bool(fast_mis_check_batch(g, z[:, None])[0])
 
 
-def fast_mis_check_batch(g: Graph, p: ObjectiveParams, Z: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
+def fast_mis_check_batch(g: Graph, Z: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
     """Column-wise fast check of an (n, k) binary matrix; no validation.
 
-    Hot path for the solver, which thresholds immediately before calling.
-    counts, when given, is the product A Z as integer-valued float64 (the
-    neighbour counts the solver keeps); the check then computes no product
-    and overwrites counts. Both routes run the same formula on the same
-    integers, so they give the same verdict.
+    Z is boolean or 0/1 floats. counts, when given, is the product A Z
+    (the neighbour counts the solver keeps), and the check then computes
+    no product.
     """
-    grad = gradient_columns(g, p, Z) if counts is None else gradient_from_product(p, counts, Z)
-    bad = np.where(Z == 1.0, grad > 0.0, grad < 0.0)
-    return ~bad.any(axis=0)
+    if counts is None:
+        counts = g.adjacency_csr().dot(Z)
+    return ((counts == 0) == Z).all(axis=0)
 
 
 def direct_mis_check(g: Graph, z) -> bool:

@@ -22,7 +22,6 @@ from .generators import gen_er, gen_gnm, gnm_edge_count
 from .graph import NodeSet
 from .graph_io import load_graph, write_dimacs, write_edge_list, write_report
 from .initialization import load_mean_file
-from .objective import gamma_select
 from .oracle import exact_mis
 from .optimizer import NumericalError, SolverConfig, solve
 
@@ -111,8 +110,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise InputError("--n must be non-negative")
     if args.family == "er":
         if args.p is None:
             raise InputError("er generation needs --p")
@@ -151,11 +148,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if not 0 <= v < g.n:
             raise InputError(f"node {v} out of range for n={g.n}")
         z[v] = 1.0
-    params = gamma_select(g, args.gamma if args.gamma is not None else "strict-n")
     nodes = NodeSet.of(members)
     doc = {
-        "gamma": params.gamma,
-        "fast": fast_mis_check(g, params, z),
+        "fast": fast_mis_check(g, z),
         "direct": direct_mis_check(g, z),
         "independent": g.is_independent(nodes),
         "maximal": g.is_maximal_independent(nodes),
@@ -209,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("graph")
     sp.add_argument("--format", choices=("dimacs", "edges"), default=None)
     sp.add_argument("--set", required=True, help="comma-separated node ids, e.g. '0,3,4'")
-    sp.add_argument("--gamma", type=_gamma_arg, default=None)
     sp.add_argument("-o", "--out", default=None)
     sp.set_defaults(func=_cmd_check)
 

@@ -14,6 +14,8 @@ class InvalidEdgeCount(InputError):
 
 def gen_er(n: int, p: float, seed: int) -> Graph:
     """G(n, p): every unordered pair kept independently with probability p."""
+    if n < 0:
+        raise InputError(f"n must be non-negative, got {n}")
     if not 0.0 <= p <= 1.0:
         raise InputError("p must lie in [0, 1]")
     rng = np.random.default_rng(seed)
@@ -33,6 +35,8 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
     Samples m distinct pair ranks without replacement and decodes each
     rank to its (u, v) position in the row-major upper triangle.
     """
+    if n < 0:
+        raise InputError(f"n must be non-negative, got {n}")
     total = n * (n - 1) // 2
     if m < 0 or m > total:
         raise InvalidEdgeCount(f"m={m} outside [0, {total}] for n={n}")

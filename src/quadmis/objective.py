@@ -93,25 +93,16 @@ def gradient_columns(g: Graph, p: ObjectiveParams, X: np.ndarray) -> np.ndarray:
     """
     if X.ndim != 2 or X.shape[0] != g.n:
         raise DimensionError(f"expected (n, k) matrix with n={g.n}, got {X.shape}")
-    return gradient_from_product(p, g.adjacency_csr().dot(X), X)
-
-
-def gradient_from_product(p: ObjectiveParams, AX: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The gradient at X given the product AX = A X, computed in AX in place.
-
-    The one copy of the formula: gradient_columns runs it on a fresh
-    product, and the solver's check on the neighbour counts it keeps. The
-    same X and the same AX give the same gradient bit for bit.
-    """
+    G = g.adjacency_csr().dot(X)
     # (gamma + 1) A X - sum(X) + X - 1, evaluated in place left to right
     if p.complement_term_enabled:
-        AX *= p.gamma + 1.0
-        AX -= _column_sums(X)
-        AX += X
+        G *= p.gamma + 1.0
+        G -= _column_sums(X)
+        G += X
     else:
-        AX *= p.gamma
-    AX -= 1.0
-    return AX
+        G *= p.gamma
+    G -= 1.0
+    return G
 
 
 def _column_sums(X: np.ndarray) -> np.ndarray:
@@ -138,22 +129,22 @@ def gamma_floor_wei(g: Graph) -> int:
 
 
 # The edges-penalty selection modes, each with the value it gives a graph.
-# "strict-n" guarantees that every binary vector passing the fast check is a
-# maximal independent set; "wei-floor" is the cheaper floor that only
-# guarantees maximum sets are fixed points.
+# With "strict-n" the binary fixed points of projected gradient descent are
+# exactly the maximal independent sets; "wei-floor" is a cheaper floor under
+# which maximum sets are still fixed points. The solver's certificate checks
+# maximality directly, so either mode reports only maximal independent sets.
 GAMMA_MODES = {"wei-floor": gamma_floor_wei, "strict-n": lambda g: g.n}
 
 
 def gamma_select(g: Graph, mode, complement_term_enabled: bool = True) -> ObjectiveParams:
     """Resolve an edges-penalty choice against a graph.
 
-    mode is one of GAMMA_MODES or a fixed number greater than 1.
+    mode is one of GAMMA_MODES or a fixed number, which ObjectiveParams
+    checks.
     """
     if isinstance(mode, str) and mode in GAMMA_MODES:
         value = float(GAMMA_MODES[mode](g))
     elif isinstance(mode, (int, float)) and not isinstance(mode, bool):
-        if not mode > 1:
-            raise InvalidGamma("fixed gamma must exceed 1")
         value = float(mode)
     else:
         raise InvalidGamma(f"unknown gamma mode: {mode!r}")

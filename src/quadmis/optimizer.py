@@ -102,7 +102,8 @@ class SolverConfig:
     mean goes with the external-mean scheme only. This is the one place
     the solver settings are checked, for type and range (InputError;
     InvalidGamma for gamma), and each range check is written so that NaN
-    fails it. The fields are the one list of the settings: suites, the CLI
+    fails it. Numbers are stored as Python int and float, numpy ones
+    included. The fields are the one list of the settings: suites, the CLI
     overrides and the report's config derive from them.
     """
 
@@ -123,6 +124,10 @@ class SolverConfig:
             value = getattr(self, name)
             if not (_is_real(value) or value is None and name == "time_limit"):
                 raise InputError(f"{name} must be a number and not a bool, got {value!r}")
+            try:
+                object.__setattr__(self, name, None if value is None else float(value))
+            except OverflowError:
+                raise InputError(f"{name} is too large for a float, got {value!r}") from None
         if not isinstance(self.complement_term_enabled, bool):
             raise InputError(f"complement_term_enabled must be a bool, got {self.complement_term_enabled!r}")
         if not self.alpha > 0.0:
@@ -137,6 +142,8 @@ class SolverConfig:
             raise InputError(f"eta must be non-negative, got {self.eta}")
         if not (_is_count(self.seed) and self.seed >= 0):
             raise InputError(f"seed must be a non-negative integer, got {self.seed}")
+        for name in ("iterations", "batch_size", "batch_count", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if (self.mean is not None) != (self.init_scheme == "external-mean"):
             raise InputError("a mean vector is given if and only if init_scheme is 'external-mean'")
         if self.mean is not None:
@@ -268,8 +275,7 @@ def _run_block(g, p, X, start, iterations, alpha):
         if changed.any():
             ok = np.zeros(cols.size, dtype=bool)
             counts = None if C is None else np.compress(changed, C, axis=1)
-            ok[changed] = checker.fast_mis_check_batch(
-                g, p, np.compress(changed, Z, axis=1).astype(np.float64), counts)
+            ok[changed] = checker.fast_mis_check_batch(g, np.compress(changed, Z, axis=1), counts)
             if ok.any():
                 for c in np.flatnonzero(ok):
                     j = int(cols[c])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from quadmis import Graph, ObjectiveParams
+from quadmis import Graph, ObjectiveParams, gradient
 
 
 @pytest.fixture
@@ -49,6 +49,14 @@ def reference_gradient(g: Graph, p: ObjectiveParams, x) -> np.ndarray:
     if p.complement_term_enabled:
         grad -= complement_adjacency(g) @ x
     return grad
+
+
+def sign_test(g: Graph, p: ObjectiveParams, z) -> bool:
+    """The projected-gradient fixed-point test at a binary z: the gradient
+    is <= 0 on members and >= 0 elsewhere. With gamma >= n it holds exactly
+    at the maximal independent sets (the paper's theorem)."""
+    grad = gradient(g, p, z)
+    return not np.where(np.asarray(z) == 1.0, grad > 0.0, grad < 0.0).any()
 
 
 def neighbor_masks(g: Graph) -> list[int]:

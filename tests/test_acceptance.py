@@ -47,6 +47,7 @@ from conftest import (
     neighbor_masks,
     random_graph,
     reference_gradient,
+    sign_test,
 )
 
 
@@ -124,7 +125,7 @@ def test_criterion_2_fast_check_exhaustive(capsys):
         for mask in range(1 << g.n):
             z = np.array([(mask >> v) & 1 for v in range(g.n)], dtype=np.float64)
             want = mask_is_maximal(mask, nbr, g.n)
-            if fast_mis_check(g, p, z) != want or direct_mis_check(g, z) != want:
+            if sign_test(g, p, z) != want or fast_mis_check(g, z) != want or direct_mis_check(g, z) != want:
                 bad += 1
         return bad
 
@@ -203,17 +204,15 @@ def test_criterion_4_checker_equivalence_and_speed(capsys):
     for i in range(50):
         n = int(rng.integers(8, 65))
         g = random_graph(n, float(rng.uniform(0.1, 0.9)), seed=40_000 + i)
-        p = ObjectiveParams(float(n))
         for _ in range(210):
             z = (rng.random(n) < rng.uniform(0.05, 0.5)).astype(np.float64)
             vectors += 1
-            if fast_mis_check(g, p, z) != direct_mis_check(g, z):
+            if fast_mis_check(g, z) != direct_mis_check(g, z):
                 mismatches += 1
 
     # timing is measured on accepting inputs: rejection can short-circuit
     # at the first violated node, so certificates are the honest cost
     g = random_graph(64, 0.3, seed=41_000)
-    p = ObjectiveParams(64.0)
     probes = []
     for _ in range(3000):
         z = np.zeros(64)
@@ -224,7 +223,7 @@ def test_criterion_4_checker_equivalence_and_speed(capsys):
     assert all(direct_mis_check(g, z) for z in probes)
     t0 = time.perf_counter()
     for z in probes:
-        fast_mis_check(g, p, z)
+        fast_mis_check(g, z)
     fast_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     for z in probes:

@@ -12,6 +12,7 @@ from quadmis import (
     SolverConfig,
     bench_suite,
     gen_gnm,
+    gnm_edge_count,
     greedy_min_degree,
     parse_suite,
     resolve_config,
@@ -177,3 +178,17 @@ def test_instance_labels():
     assert BenchInstance("er", n=5, p=0.5, seed=2).label() == "er(n=5,p=0.5,seed=2)"
     assert BenchInstance("gnm", n=50, seed=0).label() == "gnm(n=50,m=613,seed=0)"
     assert BenchInstance("file", path="a/b.col").label() == "a/b.col"
+
+
+def test_low_gamma_without_complement_runs():
+    # ObjectiveParams alone owns gamma's range: 0.5 is admissible with the
+    # complement term off, so the suite runs, and its sets are maximal
+    suite = parse_suite(json.dumps({
+        "config": {"gamma": 0.5, "complement_term_enabled": False},
+        "instances": [{"gnm": [10]}],
+    }))
+    (row,) = bench_suite(suite, workers=1).rows
+    assert row.error == "" and row.mis_found_count >= 1
+    g = gen_gnm(10, gnm_edge_count(10), 0)
+    rep = solve(g, resolve_config(g, gamma=0.5, complement_term_enabled=False), workers=1)
+    assert rep.best_size == row.best_size and g.is_maximal_independent(rep.best)

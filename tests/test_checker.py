@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from quadmis import ContractViolation, DimensionError, Graph, ObjectiveParams, direct_mis_check, fast_mis_check, support, threshold
 from quadmis.checker import fast_mis_check_batch
 
-from conftest import brute_maximal_masks, graph_inputs
+from conftest import brute_maximal_masks, graph_inputs, sign_test
 
 
 def test_threshold_strictly_positive():
@@ -15,39 +15,37 @@ def test_threshold_strictly_positive():
 
 
 def test_known_sets(fig1):
-    p = ObjectiveParams(5.0)
     for members in ([0, 3, 4], [2, 3, 4], [1, 2]):
         z = np.zeros(5)
         z[members] = 1.0
-        assert fast_mis_check(fig1, p, z)
+        assert fast_mis_check(fig1, z)
         assert direct_mis_check(fig1, z)
     # {3,4} is independent but not maximal
     z = np.zeros(5)
     z[[3, 4]] = 1.0
-    assert not fast_mis_check(fig1, p, z)
+    assert not fast_mis_check(fig1, z)
     assert not direct_mis_check(fig1, z)
 
 
 def test_adjacent_pair_rejected():
     tri = Graph.from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
     z = np.array([1.0, 1.0, 0.0])
-    assert not fast_mis_check(tri, ObjectiveParams(3.0), z)
+    assert not fast_mis_check(tri, z)
     assert not direct_mis_check(tri, z)
 
 
 def test_nonbinary_rejected(fig1):
     with pytest.raises(ContractViolation):
-        fast_mis_check(fig1, ObjectiveParams(5.0), np.full(5, 0.5))
+        fast_mis_check(fig1, np.full(5, 0.5))
     with pytest.raises(ContractViolation):
         direct_mis_check(fig1, np.full(5, 0.5))
 
 
 def test_wrong_shape_rejected(fig1):
-    p = ObjectiveParams(5.0)
     with pytest.raises(DimensionError):
-        fast_mis_check(fig1, p, np.ones(4))
+        fast_mis_check(fig1, np.ones(4))
     with pytest.raises(DimensionError):
-        fast_mis_check(fig1, p, np.ones((5, 1)))
+        fast_mis_check(fig1, np.ones((5, 1)))
 
 
 def test_support(fig1):
@@ -58,19 +56,20 @@ def test_support(fig1):
 @settings(max_examples=120, deadline=None)
 @given(graph_inputs(max_nodes=8), st.integers(min_value=0, max_value=255))
 def test_fast_equals_direct_at_gamma_n(g, bits):
-    # with gamma >= n the sign test and the direct scan agree exactly
+    # with gamma >= n the gradient's sign test certifies exactly the maximal
+    # independent sets, which both checks read off the graph directly
     mask = bits & ((1 << g.n) - 1)
     z = np.array([(mask >> v) & 1 for v in range(g.n)], dtype=np.float64)
     p = ObjectiveParams(float(max(g.n, 2)))
     want = mask in brute_maximal_masks(g)
+    assert sign_test(g, p, z) == want
     assert direct_mis_check(g, z) == want
-    assert fast_mis_check(g, p, z) == want
+    assert fast_mis_check(g, z) == want
 
 
 def test_batch_matches_scalar(fig1):
-    p = ObjectiveParams(5.0)
     rng = np.random.default_rng(0)
     Z = (rng.random((5, 40)) < 0.4).astype(np.float64)
-    got = fast_mis_check_batch(fig1, p, Z)
+    got = fast_mis_check_batch(fig1, Z)
     for j in range(Z.shape[1]):
-        assert got[j] == fast_mis_check(fig1, p, Z[:, j])
+        assert got[j] == fast_mis_check(fig1, Z[:, j])

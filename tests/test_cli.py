@@ -156,6 +156,8 @@ def test_setting_errors_exit_2(tmp_path, graph_file, capsys):
         ["solve", graph_file, "--time-limit", "nan"],
         ["solve", graph_file, "--init", f"mean:{nan_mean}"],
         ["gen", "er", "--n", "12", "--p", "1.5"],
+        ["gen", "er", "--n", "-5", "--p", "0.1"],
+        ["gen", "gnm", "--n", "-3"],
         ["check", graph_file, "--set", "0,x"],
         ["bench", str(bad_suite)],
         ["bench", str(list_suite)],
@@ -191,7 +193,7 @@ def test_oracle_too_large(tmp_path, capsys):
 def test_check_command(graph_file, capsys):
     assert main(["check", graph_file, "--set", "0,3,4"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc == {"gamma": 5.0, "fast": True, "direct": True, "independent": True, "maximal": True}
+    assert doc == {"fast": True, "direct": True, "independent": True, "maximal": True}
     assert main(["check", graph_file, "--set", "0,1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert not doc["fast"] and not doc["independent"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quadmis import InvalidEdgeCount, gen_er, gen_gnm, gnm_edge_count
+from quadmis.errors import InputError
 
 
 def test_er_deterministic():
@@ -29,6 +30,8 @@ def test_er_rejects_bad_p():
         gen_er(10, -0.1, 0)
     with pytest.raises(ValueError):
         gen_er(10, 1.5, 0)
+    with pytest.raises(InputError):
+        gen_er(-5, 0.1, 0)
 
 
 def test_gnm_edge_count_quarter_density():
@@ -65,3 +68,5 @@ def test_gnm_rejects_bad_m():
         gen_gnm(6, 16, 0)
     with pytest.raises(InvalidEdgeCount):
         gen_gnm(6, -1, 0)
+    with pytest.raises(InputError):
+        gen_gnm(-3, 3, 0)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -113,6 +114,20 @@ def test_report_json_round_trip(fig1):
     assert sorted(doc["best_set"]) == doc["best_set"]
     assert doc["mis_found_count"] >= 1
     assert doc["trace"] and len(doc["trace"][0]) == 2
+
+
+def test_report_of_numpy_settings_round_trips(fig1):
+    # numpy numbers are stored as Python ones, so the report can be written
+    cfg = SolverConfig(
+        gamma=np.float32(5.0), alpha=np.float64(0.5), iterations=np.int64(20),
+        batch_size=np.int32(4), batch_count=np.int64(2), seed=np.uint8(3), time_limit=np.int64(60),
+    )
+    assert [type(cfg.iterations), type(cfg.seed), type(cfg.gamma), type(cfg.time_limit)] == [int, int, float, float]
+    doc = json.loads(write_report(solve(fig1, cfg, workers=1), "json"))
+    assert doc["config"] | {"seed": doc["instance"]["seed"]} == {
+        "gamma": 5.0, "alpha": 0.5, "iterations": 20, "batch_size": 4, "batch_count": 2,
+        "init_scheme": "random", "eta": 2.25, "time_limit": 60.0, "complement_term_enabled": True, "seed": 3,
+    }
 
 
 def test_report_csv_is_trace(fig1):

@@ -132,6 +132,7 @@ def test_gamma_select_modes(fig1):
     assert gamma_select(fig1, 3).gamma == 3.0
     off = gamma_select(fig1, "strict-n", complement_term_enabled=False)
     assert not off.complement_term_enabled
+    assert gamma_select(fig1, 0.5, complement_term_enabled=False).gamma == 0.5
 
 
 def test_gamma_select_rejects_junk(fig1):

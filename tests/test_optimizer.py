@@ -9,12 +9,14 @@ import quadmis.optimizer as opt
 from quadmis import (
     AdamState,
     Graph,
+    NodeSet,
     NumericalError,
     ObjectiveParams,
     SolverConfig,
     adam_step,
     gen_er,
     gen_gnm,
+    resolve_config,
     run_resampling,
     solve,
 )
@@ -274,6 +276,26 @@ def test_solve_small_graph_hits_optimum(fig1):
     assert len(rep.trace) == 2
 
 
+def test_wei_floor_solve_reports_only_maximal_sets():
+    # gamma 21 is far below the sets this graph's iterates settle on; the
+    # certificate must still accept only maximal independent sets
+    g = gen_er(200, 0.05, 1)
+    cfg = resolve_config(g, gamma="wei-floor", iterations=300, batch_size=64, seed=0)
+    assert cfg.gamma == 21.0
+    rep = solve(g, cfg, workers=1)
+    assert rep.best is None or g.is_maximal_independent(rep.best)
+
+
+def test_every_certified_set_is_maximal_without_complement():
+    # at gamma 1 the gradient's sign test accepts members with one member
+    # neighbour; the certificate reads maximality off the counts instead
+    g = gen_er(60, 0.1, 1)
+    X = np.random.default_rng(6).random((g.n, opt.CHUNK))
+    found, _, _ = opt._run_block(g, ObjectiveParams(1.0, False), X, 0, 350, 0.5)
+    sets = [NodeSet(item[1]) for item in found if item is not None]
+    assert sets and all(g.is_maximal_independent(s) for s in sets)
+
+
 def test_single_run_via_external_mean(fig1):
     # pinning the mean and eta=0 makes batch_size=1 a deterministic probe
     x0 = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
@@ -398,6 +420,7 @@ def test_config_validation():
         dict(gamma="5"),
         dict(complement_term_enabled="no"),
         dict(complement_term_enabled=0),
+        dict(alpha=10**400),  # an integer too large for a float
     ):
         with pytest.raises(InputError):
             SolverConfig(**(dict(gamma=5.0) | bad))
