@@ -39,7 +39,6 @@ from .objective import (
     InvalidGamma,
     ObjectiveParams,
     evaluate,
-    gamma_floor_wei,
     gamma_select,
     gradient,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "evaluate",
     "exact_mis",
     "fast_mis_check",
-    "gamma_floor_wei",
     "gamma_select",
     "gen_er",
     "gen_gnm",

@@ -17,12 +17,12 @@ from .errors import InputError
 from .generators import gen_er, gen_gnm, gnm_edge_count
 from .graph import Graph
 from .graph_io import load_graph
-from .objective import GAMMA_MODES, gamma_select
-from .optimizer import SolverConfig, _is_count, _resolve_workers, solve
+from .objective import gamma_select
+from .optimizer import SolverConfig, _is_count, _is_real, _resolve_workers, solve
 from .oracle import greedy_min_degree
 
 # Named hyperparameter bundles for the benchmark families this solver
-# targets. gamma is a selection mode resolved per graph.
+# targets. gamma is "strict-n", the node count of each graph, or a number.
 PRESETS: dict[str, dict] = {
     "er": dict(
         gamma=775.0, alpha=0.6, iterations=150,
@@ -38,7 +38,7 @@ PRESETS: dict[str, dict] = {
     ),
 }
 
-# SolverConfig's own defaults, with gamma as a selection mode.
+# SolverConfig's own defaults, with gamma "strict-n", each graph's node count.
 _DEFAULTS = {f.name: f.default for f in fields(SolverConfig)} | {"gamma": "strict-n"}
 
 
@@ -60,14 +60,14 @@ def _settings(preset, overrides: dict) -> dict:
 def resolve_config(g: Graph, preset: str | None = None, **overrides) -> SolverConfig:
     """Build a SolverConfig for a graph from a preset plus overrides.
 
-    gamma accepts one of GAMMA_MODES or a number and is resolved against
-    the graph here.
+    gamma accepts "strict-n", resolved here to the graph's node count, or
+    a number.
     """
     settings = _settings(preset, overrides)
     settings["gamma"] = gamma_select(g, settings["gamma"], settings["complement_term_enabled"]).gamma
     cfg = SolverConfig(**settings)
-    if cfg.mean is not None and cfg.mean.shape != (g.n,):
-        raise InputError(f"mean vector has shape {cfg.mean.shape}, graph has {g.n} nodes")
+    if cfg.mean is not None and len(cfg.mean) != g.n:
+        raise InputError(f"mean vector has {len(cfg.mean)} entries, graph has {g.n} nodes")
     return cfg
 
 
@@ -195,16 +195,14 @@ def parse_suite(text: str) -> BenchSuite:
 def _check_config(preset, options: dict, time_limit) -> None:
     """Raise InputError for a suite config that no instance could run with.
 
-    Builds the SolverConfig once, with a fixed gamma standing in for a
-    selection mode (modes resolve per graph), so SolverConfig checks every
-    value. The time limit is a key of the suite itself, not of its config.
+    Builds the SolverConfig once, with 2.0 standing in for "strict-n"
+    (each graph resolves it), so SolverConfig checks every value. The
+    time limit is a key of the suite itself, not of its config.
     """
     if "time_limit" in options:
         raise InputError("time_limit is a key of the suite, not of its config")
     settings = _settings(preset, options | {"time_limit": time_limit})
-    if isinstance(settings["gamma"], str):
-        if settings["gamma"] not in GAMMA_MODES:
-            raise InputError(f"unknown gamma mode: {settings['gamma']!r}")
+    if settings["gamma"] == "strict-n":
         settings["gamma"] = 2.0
     SolverConfig(**settings)
 
@@ -213,6 +211,8 @@ def _parse_instance(item: dict) -> BenchInstance:
     seed = _count(item.get("seed", 0), "seed")
     if "er" in item:
         n, p = item["er"]
+        if not _is_real(p):
+            raise ValueError(f"p must be a number and not a bool, got {p!r}")
         return BenchInstance("er", n=_count(n, "n"), p=float(p), seed=seed)
     if "gnm" in item:
         vals = item["gnm"]

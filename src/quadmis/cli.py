@@ -29,14 +29,12 @@ _INPUT_ERRORS = (InputError, OSError)
 
 
 def _gamma_arg(raw: str):
-    if raw == "wei":
-        return "wei-floor"
     if raw == "n":
         return "strict-n"
     try:
         return float(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"gamma must be 'wei', 'n', or a number, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"gamma must be 'n' or a number, got {raw!r}")
 
 
 def _workers(args: argparse.Namespace) -> int | None:
@@ -61,7 +59,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--gamma", type=_gamma_arg, default=None,
-                    help="'wei' (degree-based floor), 'n' (node count), or a number")
+                    help="'n' (node count) or a finite number")
     sp.add_argument("--lr", type=float, default=None, dest="alpha")
     sp.add_argument("--iters", type=int, default=None, dest="iterations")
     sp.add_argument("--batch-size", type=int, default=None)

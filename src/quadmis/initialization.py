@@ -89,11 +89,11 @@ def sample_around(centre: np.ndarray, eta: float, seed: int, start: int, stop: i
     return out
 
 
-def initial_mean(g: Graph, scheme: str, mean: np.ndarray | None) -> np.ndarray | None:
+def initial_mean(g: Graph, scheme: str, mean: tuple[float, ...] | None) -> np.ndarray | None:
     """The scheme's mean, resolved once per solve; None for uniform starts."""
     if scheme == "degree":
         return degree_mean(g)
-    return mean
+    return None if mean is None else np.array(mean)
 
 
 def load_mean_file(path) -> np.ndarray:

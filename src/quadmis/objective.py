@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -40,16 +39,17 @@ class ObjectiveParams:
     """Edges penalty plus the complement-term toggle.
 
     gamma must exceed 1 while the complement term is enabled (otherwise
-    the quadratic reward for non-adjacent pairs can outweigh the edge
-    penalty) and must be positive always.
+    the quadratic reward for non-adjacent pairs can exceed the edge
+    penalty) and must be positive and finite always (an infinite gamma
+    times a zero product is NaN).
     """
 
     gamma: float
     complement_term_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0.0:
-            raise InvalidGamma("gamma must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise InvalidGamma(f"gamma must be positive and finite, got {self.gamma}")
         if self.complement_term_enabled and not self.gamma > 1.0:
             raise InvalidGamma("gamma must exceed 1 when the complement term is enabled")
 
@@ -118,34 +118,16 @@ def _column_sums(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(X).sum(axis=0)
 
 
-def gamma_floor_wei(g: Graph) -> int:
-    """Ceiling of the degree-sum lower bound on the maximum IS size, plus one.
-
-    The bound sum_v 1/(1 + d(v)) is accumulated exactly in rationals so the
-    ceiling never suffers a float tie.
-    """
-    total = sum(Fraction(1, 1 + int(d)) for d in g.degrees)
-    return math.ceil(total) + 1
-
-
-# The edges-penalty selection modes, each with the value it gives a graph.
-# With "strict-n" the binary fixed points of projected gradient descent are
-# exactly the maximal independent sets; "wei-floor" is a cheaper floor under
-# which maximum sets are still fixed points. The solver's certificate checks
-# maximality directly, so either mode reports only maximal independent sets.
-GAMMA_MODES = {"wei-floor": gamma_floor_wei, "strict-n": lambda g: g.n}
-
-
 def gamma_select(g: Graph, mode, complement_term_enabled: bool = True) -> ObjectiveParams:
     """Resolve an edges-penalty choice against a graph.
 
-    mode is one of GAMMA_MODES or a fixed number, which ObjectiveParams
-    checks.
+    mode is "strict-n", the node count, or a fixed number, which
+    ObjectiveParams checks.
     """
-    if isinstance(mode, str) and mode in GAMMA_MODES:
-        value = float(GAMMA_MODES[mode](g))
+    if mode == "strict-n":
+        value = float(g.n)
     elif isinstance(mode, (int, float)) and not isinstance(mode, bool):
         value = float(mode)
     else:
-        raise InvalidGamma(f"unknown gamma mode: {mode!r}")
+        raise InvalidGamma(f"gamma must be 'strict-n' or a number, got {mode!r}")
     return ObjectiveParams(gamma=value, complement_term_enabled=complement_term_enabled)

@@ -28,7 +28,7 @@ import os
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,15 +96,16 @@ class AdamState:
 class SolverConfig:
     """Everything one solve depends on, minus the graph and worker count.
 
-    gamma is a resolved value here; use gamma_select or the preset helpers
-    to derive it from a graph first. init_scheme draws the starts of the
+    gamma is a resolved value here; resolve_config derives it, with the
+    rest of a preset, from a graph. init_scheme draws the starts of the
     first batch; solve() draws later ones around the best set so far.
     mean goes with the external-mean scheme only. This is the one place
     the solver settings are checked, for type and range (InputError;
     InvalidGamma for gamma), and each range check is written so that NaN
     fails it. Numbers are stored as Python int and float, numpy ones
-    included. The fields are the one list of the settings: suites, the CLI
-    overrides and the report's config derive from them.
+    included, and the mean as a tuple of floats, so configs compare and
+    hash by value. The fields are the one list of the settings: suites,
+    the CLI overrides and the report's config derive from them.
     """
 
     gamma: float
@@ -117,7 +118,7 @@ class SolverConfig:
     seed: int = 0
     time_limit: float | None = None
     complement_term_enabled: bool = True
-    mean: np.ndarray | None = None
+    mean: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         for name in ("gamma", "alpha", "eta", "time_limit"):
@@ -153,26 +154,11 @@ class SolverConfig:
                 m = None
             if m is None or m.ndim != 1 or not ((m >= 0.0) & (m <= 1.0)).all():
                 raise InputError("mean must be a vector with entries in [0, 1]")
-            m.setflags(write=False)
-            object.__setattr__(self, "mean", m)
+            object.__setattr__(self, "mean", tuple(m.tolist()))
         self.params()
 
     def params(self) -> ObjectiveParams:
         return ObjectiveParams(self.gamma, self.complement_term_enabled)
-
-    # The mean compares by value: the generated methods would compare the
-    # ndarray itself, which makes == ambiguous and hash() raise.
-    def _key(self) -> tuple:
-        mean = None if self.mean is None else tuple(self.mean.tolist())
-        return tuple(getattr(self, f.name) for f in fields(self) if f.name != "mean") + (mean,)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 def _is_count(k) -> bool:
@@ -329,7 +315,7 @@ def _update_counts(A, C, Znew, D, hit):
     ends = np.cumsum(lens)
     total = int(ends[-1]) if ends.size else 0
     offsets = A.indptr[nodes] - ends + lens  # entry e of the flips' rows is A.indices[offset + e]
-    weights = np.where(Znew.reshape(-1)[flips], 1.0, -1.0)
+    signs = np.where(Znew.reshape(-1)[flips], 1.0, -1.0)
     cuts = [0, *np.searchsorted(ends, np.arange(C.size, total, C.size)).tolist(), flips.size]
     for a, b in zip(cuts, cuts[1:]):
         if a == b:
@@ -339,7 +325,7 @@ def _update_counts(A, C, Znew, D, hit):
         pos += np.arange(ends[a] - lens[a], ends[b - 1])
         np.multiply(A.indices[pos], k, out=pos)  # flip into C: neighbour * k + column
         pos += np.repeat(cols[a:b], ln)
-        np.add.at(C.reshape(-1), pos, np.repeat(weights[a:b], ln))
+        np.add.at(C.reshape(-1), pos, np.repeat(signs[a:b], ln))
 
 
 def _keep(mask, *arrays):

@@ -31,15 +31,17 @@ def test_gen_then_solve_round_trip(tmp_path, capsys):
 
 
 def test_solve_gamma_forms(graph_file, capsys):
-    for flag in ("wei", "n", "6.5"):
+    for flag in ("n", "6.5"):
         assert main(["solve", graph_file, "--gamma", flag, "--iters", "30", "--batch-size", "4"]) == 0
         capsys.readouterr()
 
 
 def test_solve_rejects_bad_gamma(graph_file, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", graph_file, "--gamma", "huge"])
-    assert exc.value.code == 2
+    for flag in ("huge", "wei"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", graph_file, "--gamma", flag])
+        assert exc.value.code == 2
+        assert "'n' or a number" in capsys.readouterr().err
 
 
 def test_solve_mean_init(tmp_path, graph_file, capsys):
@@ -142,6 +144,9 @@ def test_setting_errors_exit_2(tmp_path, graph_file, capsys):
         {"instances": [{"gnm": []}]},
         {"instances": [{"gnm": [10.9]}]},
         {"instances": [{"gnm": [10], "seed": 1.7}]},
+        {"instances": [{"er": [10, True]}]},
+        {"config": {"gamma": float("inf")}, "instances": [{"gnm": [10]}]},
+        {"config": {"gamma": "wei-floor"}, "instances": [{"gnm": [10]}]},
     )):
         path = tmp_path / f"junk{i}.json"
         path.write_text(json.dumps(doc))
@@ -154,6 +159,7 @@ def test_setting_errors_exit_2(tmp_path, graph_file, capsys):
         ["solve", graph_file, "--lr", "nan"],
         ["solve", graph_file, "--eta", "nan", "--init", "degree"],
         ["solve", graph_file, "--time-limit", "nan"],
+        ["solve", graph_file, "--gamma", "inf"],
         ["solve", graph_file, "--init", f"mean:{nan_mean}"],
         ["gen", "er", "--n", "12", "--p", "1.5"],
         ["gen", "er", "--n", "-5", "--p", "0.1"],

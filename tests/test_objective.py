@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from quadmis import (
     DimensionError,
     gen_er,
-    Graph,
     InvalidGamma,
     ObjectiveParams,
     evaluate,
-    gamma_floor_wei,
     gamma_select,
     gradient,
 )
@@ -110,23 +108,7 @@ def test_gradient_columns_width_invariant():
                 assert np.array_equal(got, full[:, idx]), (width, sub.flags.c_contiguous)
 
 
-def test_wei_floor_values(fig1):
-    # sum over nodes of 1/(1+degree), ceiling, plus one
-    assert gamma_floor_wei(fig1) == 4
-    assert gamma_floor_wei(Graph.from_edge_list(5, [])) == 6
-    complete = Graph.from_edge_list(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
-    assert gamma_floor_wei(complete) == 2
-
-
-def test_wei_floor_exact_at_boundary():
-    # two disjoint edges: sum of 1/(1+d) is exactly 2, so the ceiling
-    # must not be nudged to 3 by float error
-    g = Graph.from_edge_list(4, [(0, 1), (2, 3)])
-    assert gamma_floor_wei(g) == 3
-
-
 def test_gamma_select_modes(fig1):
-    assert gamma_select(fig1, "wei-floor").gamma == 4.0
     assert gamma_select(fig1, "strict-n").gamma == 5.0
     assert gamma_select(fig1, 7.25).gamma == 7.25
     assert gamma_select(fig1, 3).gamma == 3.0
@@ -138,6 +120,10 @@ def test_gamma_select_modes(fig1):
 def test_gamma_select_rejects_junk(fig1):
     with pytest.raises(ValueError):
         gamma_select(fig1, "biggest")
+    with pytest.raises(InvalidGamma):
+        gamma_select(fig1, "wei-floor")
+    with pytest.raises(InvalidGamma):
+        gamma_select(fig1, float("inf"))
     with pytest.raises(InvalidGamma):
         gamma_select(fig1, 1.0)
     with pytest.raises(ValueError):

@@ -276,12 +276,11 @@ def test_solve_small_graph_hits_optimum(fig1):
     assert len(rep.trace) == 2
 
 
-def test_wei_floor_solve_reports_only_maximal_sets():
+def test_low_gamma_solve_reports_only_maximal_sets():
     # gamma 21 is far below the sets this graph's iterates settle on; the
     # certificate must still accept only maximal independent sets
     g = gen_er(200, 0.05, 1)
-    cfg = resolve_config(g, gamma="wei-floor", iterations=300, batch_size=64, seed=0)
-    assert cfg.gamma == 21.0
+    cfg = resolve_config(g, gamma=21.0, iterations=300, batch_size=64, seed=0)
     rep = solve(g, cfg, workers=1)
     assert rep.best is None or g.is_maximal_independent(rep.best)
 
@@ -421,6 +420,7 @@ def test_config_validation():
         dict(complement_term_enabled="no"),
         dict(complement_term_enabled=0),
         dict(alpha=10**400),  # an integer too large for a float
+        dict(gamma=float("inf")),  # a gradient of inf times a zero product is NaN
     ):
         with pytest.raises(InputError):
             SolverConfig(**(dict(gamma=5.0) | bad))
