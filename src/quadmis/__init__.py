@@ -19,8 +19,6 @@ from .checker import (
     ContractViolation,
     direct_mis_check,
     fast_mis_check,
-    support,
-    threshold,
 )
 from .generators import InvalidEdgeCount, gen_er, gen_gnm, gnm_edge_count
 from .graph import Graph, InvalidEdge, NodeSet
@@ -39,7 +37,6 @@ from .objective import (
     InvalidGamma,
     ObjectiveParams,
     evaluate,
-    gamma_select,
     gradient,
 )
 from .optimizer import (
@@ -79,7 +76,6 @@ __all__ = [
     "evaluate",
     "exact_mis",
     "fast_mis_check",
-    "gamma_select",
     "gen_er",
     "gen_gnm",
     "gnm_edge_count",
@@ -92,8 +88,6 @@ __all__ = [
     "resolve_config",
     "run_resampling",
     "solve",
-    "support",
-    "threshold",
     "write_dimacs",
     "write_edge_list",
     "write_report",

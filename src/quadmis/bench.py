@@ -17,12 +17,13 @@ from .errors import InputError
 from .generators import gen_er, gen_gnm, gnm_edge_count
 from .graph import Graph
 from .graph_io import load_graph
-from .objective import gamma_select
+from .objective import InvalidGamma
 from .optimizer import SolverConfig, _is_count, _is_real, _resolve_workers, solve
 from .oracle import greedy_min_degree
 
 # Named hyperparameter bundles for the benchmark families this solver
-# targets. gamma is "strict-n", the node count of each graph, or a number.
+# targets. gamma is a number or "strict-n", which _settings resolves to
+# each graph's node count, and to 2 below two nodes.
 PRESETS: dict[str, dict] = {
     "er": dict(
         gamma=775.0, alpha=0.6, iterations=150,
@@ -38,34 +39,42 @@ PRESETS: dict[str, dict] = {
     ),
 }
 
-# SolverConfig's own defaults, with gamma "strict-n", each graph's node count.
+# SolverConfig's own defaults, with gamma "strict-n".
 _DEFAULTS = {f.name: f.default for f in fields(SolverConfig)} | {"gamma": "strict-n"}
 
 
-def _settings(preset, overrides: dict) -> dict:
+def _settings(preset, overrides: dict, n: int) -> dict:
     """SolverConfig's defaults, then the preset's values, then the overrides.
 
     An override that is None keeps the value under it, so CLI flags and
-    suite nulls can pass through unconditionally. Raises InputError for an
-    unknown preset or field name.
+    suite nulls can pass through unconditionally. gamma "strict-n" becomes
+    max(n, 2) for a graph of n nodes: n is the least value at which the
+    fixed points are the maximal independent sets, and ObjectiveParams
+    needs more than 1. A number goes to SolverConfig as it is. Raises
+    InputError for an unknown preset or field name or a gamma string
+    other than "strict-n".
     """
     if preset is not None and (not isinstance(preset, str) or preset not in PRESETS):
         raise InputError(f"unknown preset {preset!r}; pick one of {sorted(PRESETS)}")
     unknown = set(overrides) - set(_DEFAULTS)
     if unknown:
         raise InputError(f"unknown config fields: {sorted(unknown)}")
-    return _DEFAULTS | PRESETS.get(preset, {}) | {k: v for k, v in overrides.items() if v is not None}
+    settings = _DEFAULTS | PRESETS.get(preset, {}) | {k: v for k, v in overrides.items() if v is not None}
+    gamma = settings["gamma"]
+    if isinstance(gamma, str):
+        if gamma != "strict-n":
+            raise InvalidGamma(f"gamma must be 'strict-n' or a number, got {gamma!r}")
+        settings["gamma"] = float(max(n, 2))
+    return settings
 
 
 def resolve_config(g: Graph, preset: str | None = None, **overrides) -> SolverConfig:
     """Build a SolverConfig for a graph from a preset plus overrides.
 
-    gamma accepts "strict-n", resolved here to the graph's node count, or
-    a number.
+    gamma accepts "strict-n", resolved against the graph (see _settings),
+    or a number.
     """
-    settings = _settings(preset, overrides)
-    settings["gamma"] = gamma_select(g, settings["gamma"], settings["complement_term_enabled"]).gamma
-    cfg = SolverConfig(**settings)
+    cfg = SolverConfig(**_settings(preset, overrides, g.n))
     if cfg.mean is not None and len(cfg.mean) != g.n:
         raise InputError(f"mean vector has {len(cfg.mean)} entries, graph has {g.n} nodes")
     return cfg
@@ -195,16 +204,14 @@ def parse_suite(text: str) -> BenchSuite:
 def _check_config(preset, options: dict, time_limit) -> None:
     """Raise InputError for a suite config that no instance could run with.
 
-    Builds the SolverConfig once, with 2.0 standing in for "strict-n"
-    (each graph resolves it), so SolverConfig checks every value. The
-    time limit is a key of the suite itself, not of its config.
+    Builds the SolverConfig once, with "strict-n" resolved as for an
+    empty graph (each graph resolves it again), so SolverConfig checks
+    every value. The time limit is a key of the suite itself, not of its
+    config.
     """
     if "time_limit" in options:
         raise InputError("time_limit is a key of the suite, not of its config")
-    settings = _settings(preset, options | {"time_limit": time_limit})
-    if settings["gamma"] == "strict-n":
-        settings["gamma"] = 2.0
-    SolverConfig(**settings)
+    SolverConfig(**_settings(preset, options | {"time_limit": time_limit}, 0))
 
 
 def _parse_instance(item: dict) -> BenchInstance:

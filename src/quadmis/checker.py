@@ -17,23 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, NodeSet
+from .graph import Graph
 from .objective import _as_assignment
 from .objective import gradient, gradient_columns  # noqa: F401  (perfbench/tracer.py wraps these names)
 
 
 class ContractViolation(ValueError):
     """Input that was promised binary is not."""
-
-
-def threshold(x) -> np.ndarray:
-    """Strict-positive indicator of x, as a float64 0/1 vector.
-
-    No epsilon: any positive value counts, exactly zero does not. Dust
-    near zero therefore inflates the candidate set, and the checks below
-    reject such sets rather than silently rounding them away.
-    """
-    return (np.asarray(x, dtype=np.float64) > 0.0).astype(np.float64)
 
 
 def _require_binary(z: np.ndarray) -> None:
@@ -79,7 +69,3 @@ def direct_mis_check(g: Graph, z) -> bool:
             return False
     return True
 
-
-def support(z) -> NodeSet:
-    """Node set selected by a binary vector."""
-    return NodeSet(tuple(int(v) for v in np.flatnonzero(np.asarray(z) > 0.5)))

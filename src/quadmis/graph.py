@@ -1,14 +1,13 @@
 """Immutable undirected simple graphs stored in CSR form.
 
 The complement graph is never materialized anywhere in this package.
-Everything the solver needs from it follows from n, the per-node degrees,
-and sum identities, so memory and runtime scale with the number of edges
-of the input graph only.
+Everything the solver needs from it follows from sum identities (see
+objective.py), so memory and runtime scale with the number of edges of
+the input graph only.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -48,10 +47,6 @@ class NodeSet:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
-
-    def __contains__(self, v: object) -> bool:
-        i = bisect_left(self.members, v)
-        return i < len(self.members) and self.members[i] == v
 
 
 class Graph:
@@ -113,20 +108,6 @@ class Graph:
         """Sorted neighbor indices of v (read-only view)."""
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def degree(self, v: int) -> int:
-        return int(self.degrees[v])
-
-    def complement_degree(self, v: int) -> int:
-        """Degree of v in the complement graph: n - 1 - d(v)."""
-        if not 0 <= v < self.n:
-            raise IndexError(f"node {v} outside [0, {self.n})")
-        return self.n - 1 - int(self.degrees[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        i = int(np.searchsorted(row, v))
-        return i < row.size and int(row[i]) == v
-
     def is_independent(self, s: NodeSet) -> bool:
         """True iff no edge joins two members of s."""
         mask = np.zeros(self.n, dtype=bool)
@@ -149,10 +130,6 @@ class Graph:
         src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
         keep = src < self.indices
         return np.stack([src[keep], self.indices[keep].astype(np.int64)], axis=1)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u, v in self.edge_array():
-            yield int(u), int(v)
 
     def adjacency_csr(self) -> sparse.csr_matrix:
         """Adjacency matrix as float64 scipy CSR, cached after first use."""

@@ -31,7 +31,8 @@ class DimensionError(ValueError):
 
 
 class InvalidGamma(InputError):
-    """Edges-penalty value outside its admissible range."""
+    """Edges-penalty value outside its admissible range, or an unknown
+    gamma string."""
 
 
 @dataclass(frozen=True)
@@ -117,17 +118,3 @@ def _column_sums(X: np.ndarray) -> np.ndarray:
         return np.cumsum(X, axis=0)[-1]
     return np.ascontiguousarray(X).sum(axis=0)
 
-
-def gamma_select(g: Graph, mode, complement_term_enabled: bool = True) -> ObjectiveParams:
-    """Resolve an edges-penalty choice against a graph.
-
-    mode is "strict-n", the node count, or a fixed number, which
-    ObjectiveParams checks.
-    """
-    if mode == "strict-n":
-        value = float(g.n)
-    elif isinstance(mode, (int, float)) and not isinstance(mode, bool):
-        value = float(mode)
-    else:
-        raise InvalidGamma(f"gamma must be 'strict-n' or a number, got {mode!r}")
-    return ObjectiveParams(gamma=value, complement_term_enabled=complement_term_enabled)

@@ -101,11 +101,12 @@ class SolverConfig:
     first batch; solve() draws later ones around the best set so far.
     mean goes with the external-mean scheme only. This is the one place
     the solver settings are checked, for type and range (InputError;
-    InvalidGamma for gamma), and each range check is written so that NaN
-    fails it. Numbers are stored as Python int and float, numpy ones
-    included, and the mean as a tuple of floats, so configs compare and
-    hash by value. The fields are the one list of the settings: suites,
-    the CLI overrides and the report's config derive from them.
+    InvalidGamma, from ObjectiveParams, for gamma's range), and each
+    range check is written so that NaN fails it. Numbers are stored as
+    Python int and float, numpy ones included, and the mean as a tuple of
+    floats, so configs compare and hash by value. The fields are the one
+    list of the settings: suites, the CLI overrides and the report's
+    config derive from them.
     """
 
     gamma: float
@@ -387,11 +388,12 @@ def _adam_update(X, M1, M2, G, t, alpha):
 
 
 def _resolve_workers(workers) -> int:
-    """The worker count to use: the CPU count when None; below 1 is bad input."""
+    """The worker count to use: the CPU count when None; anything but an
+    integer >= 1 is bad input."""
     if workers is None:
         return os.cpu_count() or 1
-    if int(workers) < 1:
-        raise InputError(f"worker count must be at least 1, got {workers}")
+    if not (_is_count(workers) and workers >= 1):
+        raise InputError(f"worker count must be an integer >= 1, got {workers!r}")
     return int(workers)
 
 

@@ -22,7 +22,7 @@ def fig1() -> Graph:
 
 def dense_adjacency(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n))
-    for u, v in g.edges():
+    for u, v in g.edge_array():
         a[u, v] = 1.0
         a[v, u] = 1.0
     return a
@@ -61,7 +61,7 @@ def sign_test(g: Graph, p: ObjectiveParams, z) -> bool:
 
 def neighbor_masks(g: Graph) -> list[int]:
     masks = [0] * g.n
-    for u, v in g.edges():
+    for u, v in g.edge_array().tolist():
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return masks

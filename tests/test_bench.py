@@ -125,6 +125,11 @@ def test_parse_suite_rejects_unknown_instance():
         parse_suite(json.dumps({"instances": [{"torus": [3]}]}))
 
 
+def test_parse_suite_names_the_gamma_string():
+    with pytest.raises(InputError, match="'strict-n' or a number"):
+        parse_suite(json.dumps({"config": {"gamma": "wei-floor"}, "instances": [{"gnm": [10]}]}))
+
+
 def test_bench_suite_runs_and_records_errors(tmp_path):
     suite = BenchSuite(
         instances=(

@@ -3,15 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadmis import ContractViolation, DimensionError, Graph, ObjectiveParams, direct_mis_check, fast_mis_check, support, threshold
+from quadmis import ContractViolation, DimensionError, Graph, ObjectiveParams, direct_mis_check, fast_mis_check
 from quadmis.checker import fast_mis_check_batch
 
 from conftest import brute_maximal_masks, graph_inputs, sign_test
-
-
-def test_threshold_strictly_positive():
-    x = np.array([1e-300, 0.0, -0.0, 0.7, 1.0])
-    np.testing.assert_array_equal(threshold(x), [1.0, 0.0, 0.0, 1.0, 1.0])
 
 
 def test_known_sets(fig1):
@@ -46,11 +41,6 @@ def test_wrong_shape_rejected(fig1):
         fast_mis_check(fig1, np.ones(4))
     with pytest.raises(DimensionError):
         fast_mis_check(fig1, np.ones((5, 1)))
-
-
-def test_support(fig1):
-    z = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
-    assert support(z).members == (0, 3, 4)
 
 
 @settings(max_examples=120, deadline=None)

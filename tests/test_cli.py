@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import quadmis
 import quadmis.cli as cli
 import quadmis.optimizer as opt
-from quadmis import Graph, write_edge_list
+from quadmis import Graph, SolverConfig, bench_suite, load_graph, parse_suite, solve, write_edge_list
 from quadmis.cli import main
+from quadmis.errors import InputError
 
 
 @pytest.fixture
@@ -15,6 +17,11 @@ def graph_file(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text(write_edge_list(g))
     return str(path)
+
+
+def test_public_names_are_bound():
+    missing = [name for name in quadmis.__all__ if not hasattr(quadmis, name)]
+    assert missing == []
 
 
 def test_gen_then_solve_round_trip(tmp_path, capsys):
@@ -34,6 +41,25 @@ def test_solve_gamma_forms(graph_file, capsys):
     for flag in ("n", "6.5"):
         assert main(["solve", graph_file, "--gamma", flag, "--iters", "30", "--batch-size", "4"]) == 0
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_solve_tiny_graph_with_default_gamma(tmp_path, capsys, n):
+    # "strict-n" is 2 below two nodes, so the default config is valid
+    path = tmp_path / "tiny.edges"
+    path.write_text(write_edge_list(Graph.from_edge_list(n, [])))
+    assert main(["solve", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["gamma"] == 2.0
+    assert doc["best_set"] == list(range(n))
+
+
+def test_bench_tiny_graph_with_default_gamma(tmp_path, capsys):
+    suite = tmp_path / "tiny.json"
+    suite.write_text(json.dumps({"instances": [{"gnm": [1]}]}))
+    assert main(["bench", str(suite)]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["error"] == "" and row["best_size"] == 1
 
 
 def test_solve_rejects_bad_gamma(graph_file, capsys):
@@ -97,13 +123,20 @@ def test_workers_env_rejects_junk(graph_file, capsys, monkeypatch):
     assert "QUADMIS_WORKERS" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize("count", [0, -3, 1.5, True, "2"])
 def test_workers_below_one_rejected(tmp_path, graph_file, capsys, monkeypatch, count):
+    # a count below 1 is bad input, and so is one that is not an integer
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({"config": {"batch_size": 2}, "instances": [{"gnm": [10]}]}))
-    assert main(["solve", graph_file, "--iters", "5", "--batch-size", "2", "--workers", count]) == 2
-    assert main(["bench", str(suite), "--workers", count]) == 2
-    monkeypatch.setenv("QUADMIS_WORKERS", count)
+    with pytest.raises(InputError, match="worker count"):
+        solve(load_graph(graph_file), SolverConfig(gamma=5.0, iterations=5, batch_size=2), workers=count)
+    with pytest.raises(InputError, match="worker count"):
+        bench_suite(parse_suite(suite.read_text()), workers=count)
+    if type(count) is not int:
+        return  # the CLI parses the count as an integer
+    assert main(["solve", graph_file, "--iters", "5", "--batch-size", "2", "--workers", str(count)]) == 2
+    assert main(["bench", str(suite), "--workers", str(count)]) == 2
+    monkeypatch.setenv("QUADMIS_WORKERS", str(count))
     assert main(["solve", graph_file, "--iters", "5", "--batch-size", "2"]) == 2
     assert "worker count" in capsys.readouterr().err
 

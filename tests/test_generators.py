@@ -60,7 +60,7 @@ def test_gnm_extremes():
     assert gen_gnm(6, 0, 0).m == 0
     full = gen_gnm(6, 15, 0)
     assert full.m == 15
-    assert all(full.degree(v) == 5 for v in range(6))
+    assert (full.degrees == 5).all()
 
 
 def test_gnm_rejects_bad_m():

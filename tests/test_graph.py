@@ -10,14 +10,13 @@ from conftest import dense_adjacency, graph_inputs
 def test_from_edge_list_basic(fig1):
     assert fig1.n == 5
     assert fig1.m == 4
-    assert sorted(fig1.edges()) == [(0, 1), (0, 2), (1, 3), (1, 4)]
+    assert fig1.edge_array().tolist() == [[0, 1], [0, 2], [1, 3], [1, 4]]
 
 
 def test_duplicate_and_reversed_edges_collapse():
     g = Graph.from_edge_list(3, [(0, 1), (1, 0), (0, 1), (2, 1)])
     assert g.m == 2
-    assert g.has_edge(0, 1) and g.has_edge(1, 2)
-    assert not g.has_edge(0, 2)
+    assert g.edge_array().tolist() == [[0, 1], [1, 2]]
 
 
 def test_neighbors_sorted(fig1):
@@ -27,10 +26,8 @@ def test_neighbors_sorted(fig1):
 
 
 def test_degrees(fig1):
-    assert [fig1.degree(v) for v in range(5)] == [2, 3, 1, 1, 1]
+    assert fig1.degrees.tolist() == [2, 3, 1, 1, 1]
     assert fig1.max_degree == 3
-    # complement degree is n-1-degree
-    assert [fig1.complement_degree(v) for v in range(5)] == [2, 1, 3, 3, 3]
 
 
 def test_self_loop_rejected():
@@ -113,13 +110,12 @@ def test_ndarray_input():
 @settings(max_examples=60, deadline=None)
 @given(graph_inputs())
 def test_degree_sums_to_twice_edges(g):
-    assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
+    assert int(g.degrees.sum()) == 2 * g.m
 
 
 @settings(max_examples=60, deadline=None)
 @given(graph_inputs())
 def test_neighbors_symmetric(g):
-    for u, v in g.edges():
+    for u, v in g.edge_array():
         assert u in g.neighbors(v)
         assert v in g.neighbors(u)
-        assert g.has_edge(u, v) and g.has_edge(v, u)

@@ -5,13 +5,15 @@ from hypothesis import strategies as st
 
 from quadmis import (
     DimensionError,
+    Graph,
     gen_er,
     InvalidGamma,
     ObjectiveParams,
     evaluate,
-    gamma_select,
     gradient,
+    resolve_config,
 )
+from quadmis.errors import InputError
 from quadmis.objective import gradient_columns
 
 from conftest import graph_inputs, reference_gradient, reference_objective
@@ -109,22 +111,28 @@ def test_gradient_columns_width_invariant():
 
 
 def test_gamma_select_modes(fig1):
-    assert gamma_select(fig1, "strict-n").gamma == 5.0
-    assert gamma_select(fig1, 7.25).gamma == 7.25
-    assert gamma_select(fig1, 3).gamma == 3.0
-    off = gamma_select(fig1, "strict-n", complement_term_enabled=False)
+    assert resolve_config(fig1, gamma="strict-n").gamma == 5.0
+    assert resolve_config(fig1, gamma=7.25).gamma == 7.25
+    assert resolve_config(fig1, gamma=3).gamma == 3.0
+    assert resolve_config(fig1, gamma=np.float32(5.0)).gamma == 5.0
+    assert resolve_config(fig1, gamma=np.int64(5)).gamma == 5.0
+    off = resolve_config(fig1, gamma="strict-n", complement_term_enabled=False)
     assert not off.complement_term_enabled
-    assert gamma_select(fig1, 0.5, complement_term_enabled=False).gamma == 0.5
+    assert resolve_config(fig1, gamma=0.5, complement_term_enabled=False).gamma == 0.5
+    # below two nodes "strict-n" is 2, the least value above 1 that is >= n
+    for n in (0, 1, 2):
+        assert resolve_config(Graph.from_edge_list(n, [])).gamma == 2.0
 
 
 def test_gamma_select_rejects_junk(fig1):
-    with pytest.raises(ValueError):
-        gamma_select(fig1, "biggest")
+    with pytest.raises(InvalidGamma, match="'strict-n'"):
+        resolve_config(fig1, gamma="biggest")
+    with pytest.raises(InvalidGamma, match="'strict-n'"):
+        resolve_config(fig1, gamma="wei-floor")
     with pytest.raises(InvalidGamma):
-        gamma_select(fig1, "wei-floor")
+        resolve_config(fig1, gamma=float("inf"))
     with pytest.raises(InvalidGamma):
-        gamma_select(fig1, float("inf"))
-    with pytest.raises(InvalidGamma):
-        gamma_select(fig1, 1.0)
-    with pytest.raises(ValueError):
-        gamma_select(fig1, True)
+        resolve_config(fig1, gamma=1.0)
+    # a bool is the wrong type, which SolverConfig rejects before any range check
+    with pytest.raises(InputError, match="not a bool"):
+        resolve_config(fig1, gamma=True)

@@ -9,7 +9,7 @@ names or signatures would otherwise break only a traced benchmark run.
 import importlib.util
 from pathlib import Path
 
-from quadmis import SolverConfig, gamma_select, gen_er, run_resampling, solve
+from quadmis import SolverConfig, gen_er, run_resampling, solve
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -30,7 +30,7 @@ def test_tracer_wraps_the_solver_without_changing_it():
     g = gen_er(30, 0.2, 1)
     # degree starts for batch 0, restarts around the best set for batch 1
     cfg = SolverConfig(
-        gamma=gamma_select(g, "strict-n").gamma, alpha=0.6, iterations=60,
+        gamma=float(g.n), alpha=0.6, iterations=60,
         batch_size=8, batch_count=2, init_scheme="degree", seed=2,
     )
     plain = solve(g, cfg, workers=1)
