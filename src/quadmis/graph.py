@@ -52,10 +52,9 @@ class NodeSet:
 class Graph:
     """Undirected simple graph on nodes 0..n-1 with sorted CSR adjacency.
 
-    Instances are immutable after construction and safe to share across
-    threads. The scipy adjacency matrix is built lazily on first use; the
-    unsynchronized cache is a benign race under the GIL since concurrent
-    builders produce equal objects.
+    Instances are immutable after construction. The scipy adjacency matrix
+    is built lazily on first use and cached; solve() builds it before its
+    workers fork, so they share it.
     """
 
     __slots__ = ("n", "m", "indptr", "indices", "degrees", "max_degree", "_csr")

@@ -4,7 +4,10 @@ Scheduling never touches numerics: work is issued in fixed 32-column
 blocks whose spans depend only on the batch size, so every float
 reduction sees identical operands no matter how many workers run or in
 what order blocks finish. solve() is therefore bitwise reproducible
-across worker counts, which the test suite pins.
+across worker counts, which the test suite pins. Its workers are forked
+processes: each block is a pure function of its span, its centre set,
+the seed and the config, so a worker inherits the graph and config at
+fork and receives only the span and the centre's members.
 
 Inside a block the kernel works on live columns only. A column that has
 certified or gone non-finite is dropped, and only columns whose
@@ -24,10 +27,12 @@ the same update and kernel.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -388,13 +393,57 @@ def _adam_update(X, M1, M2, G, t, alpha):
 
 
 def _resolve_workers(workers) -> int:
-    """The worker count to use: the CPU count when None; anything but an
-    integer >= 1 is bad input."""
+    """The worker count to use: the CPUs this process may run on when None;
+    anything but an integer >= 1 is bad input."""
     if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if not (_is_count(workers) and workers >= 1):
         raise InputError(f"worker count must be an integer >= 1, got {workers!r}")
     return int(workers)
+
+
+# What a block depends on besides its span and centre: (g, p, cfg, mean,
+# deadline). Set in each pool worker by _start_worker; a forked worker
+# inherits the objects, so none of them is pickled.
+_context: tuple | None = None
+
+
+def _start_worker(*context) -> None:
+    global _context
+    _context = context
+
+
+def _worker_block(span, members):
+    return _block(*_context, span, members)
+
+
+def _block(g, p, cfg, mean, deadline, span, members):
+    """Run the initializations in span: around the set `members`, or from
+    cfg.init_scheme's mean when members is None. Returns _run_block's
+    (found, failures, width), or None if the block would start after the
+    deadline."""
+    if deadline is not None and time.perf_counter() >= deadline:
+        return None
+    if members is None:
+        X = sample_block(g.n, mean, cfg.seed, span[0], span[1], cfg.eta)
+    else:
+        centre = np.zeros(g.n)
+        centre[list(members)] = 1.0
+        X = sample_around(centre, RESTART_ETA, cfg.seed, span[0], span[1])
+    return _run_block(g, p, X, span[0], cfg.iterations, cfg.alpha)
+
+
+def _pool(processes, context):
+    """A fork pool of `processes` workers that hold context, or a null
+    context (blocks run in-process) for one process or where fork does not
+    exist."""
+    if processes == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return nullcontext()
+    return ProcessPoolExecutor(
+        processes, multiprocessing.get_context("fork"), initializer=_start_worker, initargs=context
+    )
 
 
 def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str = "") -> SolveReport:
@@ -409,12 +458,17 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
     block that would start after the deadline is skipped and not counted,
     but a started block always finishes, so a solve can overrun the limit
     by up to one block's run time.
+
+    Blocks run on min(workers, blocks per batch) processes forked at the
+    first block and joined before solve returns or raises; they share the
+    parent's pages copy-on-write. With one process, or where fork does not
+    exist, the same loop runs every block in this process.
     """
     t0 = time.perf_counter()
     p = cfg.params()
     mean = initial_mean(g, cfg.init_scheme, cfg.mean)
-    g.adjacency_csr()  # build once, before workers share it
-    nworkers = _resolve_workers(workers)
+    g.adjacency_csr()  # build once, before the workers fork
+    processes = min(_resolve_workers(workers), -(-cfg.batch_size // CHUNK))
     best: NodeSet | None = None
     found_count = 0
     completed = 0
@@ -422,17 +476,7 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
     trace: list[tuple[float, int]] = []
 
     deadline = None if cfg.time_limit is None else t0 + cfg.time_limit
-
-    def run_span(span, around: NodeSet | None):
-        if deadline is not None and time.perf_counter() >= deadline:
-            return None
-        if around is None:
-            X = sample_block(g.n, mean, cfg.seed, span[0], span[1], cfg.eta)
-        else:
-            centre = np.zeros(g.n)
-            centre[list(around.members)] = 1.0
-            X = sample_around(centre, RESTART_ETA, cfg.seed, span[0], span[1])
-        return _run_block(g, p, X, span[0], cfg.iterations, cfg.alpha)
+    context = (g, p, cfg, mean, deadline)
 
     def merge(result):
         nonlocal best, found_count, completed, failures
@@ -449,23 +493,36 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
             if best is None or len(members) > best.size:
                 best = NodeSet(members)
 
-    with ThreadPoolExecutor(max_workers=nworkers) as executor:
-        for b in range(cfg.batch_count):
-            if deadline is not None and time.perf_counter() >= deadline:
-                break
-            lo = b * cfg.batch_size
-            in_flight: deque[Future] = deque()
-            for s in range(0, cfg.batch_size, CHUNK):
-                span = (lo + s, lo + min(s + CHUNK, cfg.batch_size))
-                if b > 0:
-                    # merge up to RESTART_LAG blocks back, in index order
-                    while len(in_flight) >= RESTART_LAG:
-                        merge(in_flight.popleft().result())
-                in_flight.append(executor.submit(run_span, span, best if b > 0 else None))
-            while in_flight:
-                merge(in_flight.popleft().result())
-            elapsed_ms = (time.perf_counter() - t0) * 1000.0
-            trace.append((elapsed_ms, 0 if best is None else best.size))
+    with _pool(processes, context) as pool:
+
+        def start(span, members) -> Future:
+            if pool is not None:
+                return pool.submit(_worker_block, span, members)
+            done: Future = Future()
+            done.set_result(_block(*context, span, members))
+            return done
+
+        in_flight: deque[Future] = deque()
+        try:
+            for b in range(cfg.batch_count):
+                if deadline is not None and time.perf_counter() >= deadline:
+                    break
+                lo = b * cfg.batch_size
+                for s in range(0, cfg.batch_size, CHUNK):
+                    span = (lo + s, lo + min(s + CHUNK, cfg.batch_size))
+                    if b > 0:
+                        # merge up to RESTART_LAG blocks back, in index order
+                        while len(in_flight) >= RESTART_LAG:
+                            merge(in_flight.popleft().result())
+                    in_flight.append(start(span, best.members if b > 0 and best is not None else None))
+                while in_flight:
+                    merge(in_flight.popleft().result())
+                elapsed_ms = (time.perf_counter() - t0) * 1000.0
+                trace.append((elapsed_ms, 0 if best is None else best.size))
+        except BaseException:
+            for f in in_flight:  # leave only started blocks for the join
+                f.cancel()
+            raise
     return SolveReport(
         best=best,
         best_size=0 if best is None else best.size,

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import zlib
 from dataclasses import replace
 from types import SimpleNamespace
@@ -389,6 +391,54 @@ def test_time_limit_skips_blocks(fig1, monkeypatch):
     rep = solve(fig1, cfg, workers=1)
     assert rep.runs_completed == opt.CHUNK
     assert len(rep.trace) == 1
+
+
+def test_time_limit_with_forked_workers():
+    # the deadline passes inside the run; each worker checks it before a
+    # block starts, so only whole blocks are counted
+    g = gen_er(200, 0.1, 1)
+    cfg = SolverConfig(
+        gamma=200.0, alpha=0.6, iterations=150, batch_size=4 * opt.CHUNK, batch_count=10_000,
+        seed=1, time_limit=0.3,
+    )
+    rep = solve(g, cfg, workers=2)
+    started = rep.runs_completed + rep.numerical_failures
+    assert 0 < started < cfg.batch_size * cfg.batch_count
+    assert started % opt.CHUNK == 0
+    assert len(rep.trace) <= cfg.batch_count
+    assert multiprocessing.active_children() == []
+
+
+def test_forked_workers_are_joined():
+    g = gen_er(200, 0.1, 1)
+    cfg = SolverConfig(gamma=200.0, alpha=0.6, iterations=50, batch_size=3 * opt.CHUNK, batch_count=2, seed=1)
+    rep = solve(g, cfg, workers=2)
+    assert rep.runs_completed == 2 * cfg.batch_size
+    assert multiprocessing.active_children() == []
+
+
+def test_block_error_reaches_the_caller(monkeypatch):
+    def failing_block(*args):
+        raise RuntimeError(f"block failed in process {os.getpid()}")
+
+    monkeypatch.setattr(opt, "_run_block", failing_block)
+    g = gen_er(200, 0.1, 1)
+    cfg = SolverConfig(gamma=200.0, alpha=0.6, iterations=50, batch_size=3 * opt.CHUNK, batch_count=2, seed=1)
+    with pytest.raises(RuntimeError, match="block failed in process") as err:
+        solve(g, cfg, workers=2)
+    assert int(str(err.value).split()[-1]) != os.getpid()  # the block ran in a worker
+    assert multiprocessing.active_children() == []
+
+
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert opt._resolve_workers(None) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert opt._resolve_workers(None) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert opt._resolve_workers(None) == 1
+    assert opt._resolve_workers(5) == 5
 
 
 def test_config_validation():
