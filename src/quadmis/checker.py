@@ -4,8 +4,8 @@ Two independent routes:
 
 * fast_mis_check reads the definition off the neighbour counts c = A z: a
   binary z is a maximal independent set iff its members are exactly the
-  nodes with no neighbour in it, (c == 0) == z. One sparse matvec total,
-  none when the caller already holds the counts.
+  nodes with no neighbour in it, (c == 0) == z. One adjacency product
+  total, none when the caller already holds the counts.
 * direct_mis_check walks every node's neighborhood, the plain reference.
 
 Neither depends on gamma. With gamma >= n the projected-gradient fixed
@@ -46,7 +46,7 @@ def fast_mis_check_batch(g: Graph, Z: np.ndarray, counts: np.ndarray | None = No
     no product.
     """
     if counts is None:
-        counts = g.adjacency_csr().dot(Z)
+        counts = g.adjacency_product(Z)
     return ((counts == 0) == Z).all(axis=0)
 
 

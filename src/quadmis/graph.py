@@ -2,8 +2,12 @@
 
 The complement graph is never materialized anywhere in this package.
 Everything the solver needs from it follows from sum identities (see
-objective.py), so memory and runtime scale with the number of edges of
-the input graph only.
+objective.py), so it needs only products A·X with the input graph's
+adjacency matrix. A graph takes those products on one of two backends,
+fixed by its node and edge counts alone (_dense_adjacency): a dense
+float64 n x n matrix and BLAS where 8m >= n^2, which then takes no more
+words than the 8(n + m) a sparse solve may use, and a scipy CSR matrix
+otherwise. Memory scales with the edges of the input graph either way.
 """
 
 from __future__ import annotations
@@ -49,15 +53,27 @@ class NodeSet:
         return iter(self.members)
 
 
+def _dense_adjacency(n: int, m: int) -> bool:
+    """Whether a graph with n nodes and m edges takes its adjacency
+    products as dense BLAS products: where 8m >= n^2 (and n > 0).
+
+    There the n^2 words of the dense matrix fit in the 8(n + m) words a
+    solve may use, and on G(800, 159800) one product of 32 columns took
+    1.5 ms on one BLAS thread against 5.1 ms as a CSR product (2-core x86).
+    """
+    return n > 0 and 8 * m >= n * n
+
+
 class Graph:
     """Undirected simple graph on nodes 0..n-1 with sorted CSR adjacency.
 
-    Instances are immutable after construction. The scipy adjacency matrix
-    is built lazily on first use and cached; solve() builds it before its
-    workers fork, so they share it.
+    Instances are immutable after construction. backend, "dense" or
+    "csr", names the operator adjacency_product multiplies by; it is set
+    once, from n and m. The operator is built lazily on first use and
+    cached; solve() builds it before its workers fork, so they share it.
     """
 
-    __slots__ = ("n", "m", "indptr", "indices", "degrees", "max_degree", "_csr")
+    __slots__ = ("n", "m", "indptr", "indices", "degrees", "max_degree", "backend", "_csr", "_dense")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = int(n)
@@ -68,7 +84,9 @@ class Graph:
         self.max_degree = int(self.degrees.max()) if self.n else 0
         for arr in (self.indptr, self.indices, self.degrees):
             arr.setflags(write=False)
+        self.backend = "dense" if _dense_adjacency(self.n, self.m) else "csr"
         self._csr = None
+        self._dense = None
 
     @classmethod
     def from_edge_list(cls, n: int, edges) -> "Graph":
@@ -131,7 +149,10 @@ class Graph:
         return np.stack([src[keep], self.indices[keep].astype(np.int64)], axis=1)
 
     def adjacency_csr(self) -> sparse.csr_matrix:
-        """Adjacency matrix as float64 scipy CSR, cached after first use."""
+        """Adjacency matrix as float64 scipy CSR, cached after first use.
+
+        The products take adjacency(), which is this matrix only on the CSR
+        backend; a dense graph builds it only when asked."""
         if self._csr is None:
             data = np.ones(self.indices.size, dtype=np.float64)
             csr = sparse.csr_matrix(
@@ -140,6 +161,40 @@ class Graph:
             csr.has_sorted_indices = True
             self._csr = csr
         return self._csr
+
+    def adjacency(self) -> np.ndarray | sparse.csr_matrix:
+        """The operator adjacency_product multiplies by, cached after first
+        use: a float64 n x n array on the dense backend, else
+        adjacency_csr(). The dense matrix is filled row by row straight
+        from indptr and indices, so no CSR float data is made for it."""
+        if self.backend == "csr":
+            return self.adjacency_csr()
+        if self._dense is None:
+            dense = np.zeros((self.n, self.n))
+            for v in range(self.n):
+                dense[v, self.neighbors(v)] = 1.0
+            dense.setflags(write=False)
+            self._dense = dense
+        return self._dense
+
+    def adjacency_product(self, X: np.ndarray) -> np.ndarray:
+        """A·X for an (n, k) matrix X of floats or booleans, as a new
+        C-ordered float64 array.
+
+        Column j of the result depends only on column j of X, bit for bit,
+        whatever the width, layout or position of the block. A CSR product
+        adds each row's entries in index order. A dense one runs on a copy
+        of X zero-padded to a C-ordered block whose width is a multiple of
+        8: unpadded, BLAS sums some widths (1-4, 9-12, ... on
+        G(120, 3570)) in another order.
+        """
+        if self.backend == "csr":
+            return self.adjacency_csr().dot(X)
+        n, k = X.shape
+        padded = np.zeros((n, -(-k // 8) * 8))
+        padded[:, :k] = X
+        product = self.adjacency() @ padded
+        return product if product.shape[1] == k else np.ascontiguousarray(product[:, :k])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

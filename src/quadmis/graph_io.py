@@ -155,6 +155,7 @@ def report_to_dict(report: SolveReport) -> dict:
             "seed": None if cfg is None else cfg.seed,
         },
         "config": config,
+        "backend": report.backend,
         "best_size": report.best_size,
         "best_set": [] if report.best is None else list(report.best.members),
         "mis_found_count": report.mis_found_count,

@@ -9,10 +9,12 @@ complement. The complement term is always expanded through
 
     x^T A' x = (sum x)^2 - x.x - x^T A x
 
-so evaluation and gradients cost one sparse matvec plus vector reductions
-and no complement structure ever exists. The expansion is the contract,
-not an optimization; a materialized-complement reference lives only in
-the test suite.
+so evaluation and gradients cost one adjacency product plus vector
+reductions and no complement structure ever exists. The expansion is the
+contract, not an optimization; a materialized-complement reference lives
+only in the test suite. The product is Graph.adjacency_product: a dense
+BLAS product on graphs with 8m >= n^2, a CSR product otherwise, each
+width-invariant bit for bit.
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ def _as_assignment(g: Graph, x) -> np.ndarray:
 
 
 def evaluate(g: Graph, p: ObjectiveParams, x) -> float:
-    """Objective value at x; one adjacency matvec."""
+    """Objective value at x; one adjacency product."""
     x = _as_assignment(g, x)
-    ax = g.adjacency_csr().dot(x)
+    ax = g.adjacency_product(x[:, None])[:, 0]
     quad = float(x @ ax)
     s = float(x.sum())
     value = -s + 0.5 * p.gamma * quad
@@ -90,11 +92,11 @@ def gradient_columns(g: Graph, p: ObjectiveParams, X: np.ndarray) -> np.ndarray:
 
     Column j of the result depends only on column j of X, bit for bit: the
     same column gives the same gradient in a block of any width or layout.
-    The batched form exists so the solver can amortize the sparse matvec.
+    The batched form exists so the solver can amortize the product.
     """
     if X.ndim != 2 or X.shape[0] != g.n:
         raise DimensionError(f"expected (n, k) matrix with n={g.n}, got {X.shape}")
-    G = g.adjacency_csr().dot(X)
+    G = g.adjacency_product(X)
     # (gamma + 1) A X - sum(X) + X - 1, evaluated in place left to right
     if p.complement_term_enabled:
         G *= p.gamma + 1.0

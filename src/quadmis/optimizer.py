@@ -7,7 +7,14 @@ what order blocks finish. solve() is therefore bitwise reproducible
 across worker counts, which the test suite pins. Its workers are forked
 processes: each block is a pure function of its span, its centre set,
 the seed and the config, so a worker inherits the graph and config at
-fork and receives only the span and the centre's members.
+fork and receives only the span and the centre's members. solve() sets
+every loaded OpenBLAS to one thread before it forks (the workers inherit
+that) and restores the caller's count afterwards, so the worker count is
+the one parallelism setting and two BLAS threads per worker never contend
+for the same cores. It also keeps results independent of the caller's
+BLAS thread count: on G(2000, 999500) a dense product on two threads
+differed from the one-thread product in its last bits. run_resampling()
+pins BLAS the same way.
 
 Inside a block the kernel works on live columns only. A column that has
 certified or gone non-finite is dropped, and only columns whose
@@ -20,19 +27,23 @@ neighbour counts A·Z and updates them from the adjacency rows of the nodes
 whose threshold flipped, instead of taking a product per check. The
 counts are exact integers, so this changes no bit either.
 Each column's arithmetic is the same whatever the width of the block it
-sits in, so dropping columns and skipping products change no result. The
+sits in, so dropping columns and skipping products change no result. That
+holds on both product backends (Graph.adjacency_product): dense products
+run on blocks zero-padded to a width that is a multiple of 8. The
 scalar entry points (adam_step, run_resampling) are width-1 calls into
 the same update and kernel.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import multiprocessing
 import os
 import time
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +89,9 @@ COUNTS_MIN_ENTRIES = 1 << 16
 # entry as a CSR product does per entry and column (numpy gather and
 # scatter, about 10 ns, against about 0.5 ns). So a step that flips more
 # than 1/COUNTS_ENTRY_COST of the entries of the columns it changes takes a
-# product for them instead; early steps, which flip many nodes, do.
+# product for them instead; early steps, which flip many nodes, do. (Set
+# against CSR products; a dense one took about 0.15 ns per entry and column
+# on G(800, 159800).)
 COUNTS_ENTRY_COST = 16
 
 
@@ -190,6 +203,7 @@ class SolveReport:
     n: int = 0
     m: int = 0
     source: str = ""
+    backend: str = ""  # the graph's product backend, "dense" or "csr"
 
 
 def adam_step(g: Graph, p: ObjectiveParams, x, st: AdamState, alpha: float) -> np.ndarray:
@@ -262,7 +276,7 @@ def _run_block(g, p, X, start, iterations, alpha):
         flips = Znew != Z
         changed = _per_column(np.logical_or, flips) if t > 1 else np.ones(cols.size, dtype=bool)
         if C is not None:
-            _update_counts(g.adjacency_csr(), C, Znew, flips, changed)
+            _update_counts(g, C, Znew, flips, changed)
         Z = Znew
         if changed.any():
             ok = np.zeros(cols.size, dtype=bool)
@@ -299,8 +313,9 @@ def _keeps_counts(n, m, width):
     return 2 * m >= COUNTS_MIN_DEGREE * n and 2 * m * width >= COUNTS_MIN_ENTRIES
 
 
-def _update_counts(A, C, Znew, D, hit):
-    """Bring the neighbour counts C = A·Z to A·Znew in place; D is Znew != Z.
+def _update_counts(g, C, Znew, D, hit):
+    """Bring the neighbour counts C = A·Z to A·Znew in place, A being g's
+    adjacency; D is Znew != Z.
 
     hit marks the columns of D with a flip, or more of them: a marked column
     without one has no row to add and a product of it keeps its counts.
@@ -309,18 +324,19 @@ def _update_counts(A, C, Znew, D, hit):
     adds its adjacency row to its column's counts, or subtracts it, in
     slices of about C.size entries so that no transient array outgrows C.
     When more than 1/COUNTS_ENTRY_COST of the entries of the columns with
-    a flip flipped, those columns get a product instead.
+    a flip flipped, those columns get a product instead. The rows are read
+    from g.indptr and g.indices, so the dense backend needs no CSR matrix.
     """
     n, k = C.shape
     if np.count_nonzero(D) * COUNTS_ENTRY_COST > n * np.count_nonzero(hit):
-        C[:, hit] = A.dot(np.compress(hit, Znew, axis=1).astype(np.float64))
+        C[:, hit] = g.adjacency_product(np.compress(hit, Znew, axis=1))
         return
     flips = np.flatnonzero(D)  # node * k + column
     nodes, cols = np.divmod(flips, k)
-    lens = A.indptr[nodes + 1] - A.indptr[nodes]
+    lens = g.indptr[nodes + 1] - g.indptr[nodes]
     ends = np.cumsum(lens)
     total = int(ends[-1]) if ends.size else 0
-    offsets = A.indptr[nodes] - ends + lens  # entry e of the flips' rows is A.indices[offset + e]
+    offsets = g.indptr[nodes] - ends + lens  # entry e of the flips' rows is g.indices[offset + e]
     signs = np.where(Znew.reshape(-1)[flips], 1.0, -1.0)
     cuts = [0, *np.searchsorted(ends, np.arange(C.size, total, C.size)).tolist(), flips.size]
     for a, b in zip(cuts, cuts[1:]):
@@ -329,7 +345,7 @@ def _update_counts(A, C, Znew, D, hit):
         ln = lens[a:b]
         pos = np.repeat(offsets[a:b], ln)
         pos += np.arange(ends[a] - lens[a], ends[b - 1])
-        np.multiply(A.indices[pos], k, out=pos)  # flip into C: neighbour * k + column
+        np.multiply(g.indices[pos], k, out=pos)  # flip into C: neighbour * k + column
         pos += np.repeat(cols[a:b], ln)
         np.add.at(C.reshape(-1), pos, np.repeat(signs[a:b], ln))
 
@@ -435,6 +451,57 @@ def _block(g, p, cfg, mean, deadline, span, members):
     return _run_block(g, p, X, span[0], cfg.iterations, cfg.alpha)
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) pairs for the thread count of each OpenBLAS library this
+    process has loaded, found by file name in /proc/self/maps; none where
+    that file does not exist.
+
+    Looked up once per process, since reading the map takes about 0.5 ms:
+    the library numpy multiplies with is loaded with numpy, before this
+    module is imported.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            # address, permissions, offset, device, inode, path
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line.lower()}
+    except OSError:
+        return []
+    pairs = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # the C functions, whose names builds decorate with a prefix and a
+        # suffix; names ending "_64_" are the Fortran ones, which take pointers
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                pairs.append((get, put))
+                break
+    return pairs
+
+
+@contextmanager
+def _one_blas_thread():
+    """Set every loaded OpenBLAS to one thread for the body, and restore
+    each library's own count when it returns or raises. Nothing happens
+    where no OpenBLAS is loaded."""
+    pairs = _openblas_threads()
+    saved = [(put, get()) for get, put in pairs]
+    for put, _ in saved:
+        put(1)
+    try:
+        yield
+    finally:
+        for put, count in saved:
+            put(count)
+
+
 def _pool(processes, context):
     """A fork pool of `processes` workers that hold context, or a null
     context (blocks run in-process) for one process or where fork does not
@@ -462,12 +529,13 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
     Blocks run on min(workers, blocks per batch) processes forked at the
     first block and joined before solve returns or raises; they share the
     parent's pages copy-on-write. With one process, or where fork does not
-    exist, the same loop runs every block in this process.
+    exist, the same loop runs every block in this process. Either way the
+    blocks' BLAS products take one thread (see _one_blas_thread).
     """
     t0 = time.perf_counter()
     p = cfg.params()
     mean = initial_mean(g, cfg.init_scheme, cfg.mean)
-    g.adjacency_csr()  # build once, before the workers fork
+    g.adjacency()  # build once, before the workers fork
     processes = min(_resolve_workers(workers), -(-cfg.batch_size // CHUNK))
     best: NodeSet | None = None
     found_count = 0
@@ -493,7 +561,7 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
             if best is None or len(members) > best.size:
                 best = NodeSet(members)
 
-    with _pool(processes, context) as pool:
+    with _one_blas_thread(), _pool(processes, context) as pool:
 
         def start(span, members) -> Future:
             if pool is not None:
@@ -535,6 +603,7 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
         n=g.n,
         m=g.m,
         source=source,
+        backend=g.backend,
     )
 
 
@@ -552,7 +621,8 @@ def run_resampling(g: Graph, p: ObjectiveParams, iterations: int, alpha: float, 
     is recorded, a fresh uniform start replaces it, and the optimizer
     state resets. The budget counts total gradient steps across restarts.
     Each run is a width-1 block of the solver kernel; start k is
-    initialization k of the random scheme. Useful for measuring how
+    initialization k of the random scheme, and BLAS runs on one thread as
+    in solve(). Useful for measuring how
     quickly an objective variant reaches fixed points.
     """
     if not alpha > 0.0:
@@ -560,17 +630,18 @@ def run_resampling(g: Graph, p: ObjectiveParams, iterations: int, alpha: float, 
     sizes: list[int] = []
     best: NodeSet | None = None
     used = 0
-    while used < iterations:
-        k = len(sizes)  # every run before this one certified
-        X = sample_block(g.n, None, seed, k, k + 1)
-        (item,), nfail, _ = _run_block(g, p, X, k, iterations - used, alpha)
-        if nfail:
-            raise NumericalError("non-finite gradient")
-        if item is None:  # budget spent without a certificate
-            break
-        _, members, t = item
-        used += t
-        sizes.append(len(members))
-        if best is None or len(members) > best.size:
-            best = NodeSet(members)
+    with _one_blas_thread():
+        while used < iterations:
+            k = len(sizes)  # every run before this one certified
+            X = sample_block(g.n, None, seed, k, k + 1)
+            (item,), nfail, _ = _run_block(g, p, X, k, iterations - used, alpha)
+            if nfail:
+                raise NumericalError("non-finite gradient")
+            if item is None:  # budget spent without a certificate
+                break
+            _, members, t = item
+            used += t
+            sizes.append(len(members))
+            if best is None or len(members) > best.size:
+                best = NodeSet(members)
     return ResampleOutcome(found_sizes=sizes, best=best, iterations=iterations)

@@ -37,6 +37,16 @@ def test_gen_then_solve_round_trip(tmp_path, capsys):
     assert doc["best_size"] >= 1
 
 
+def test_solve_report_names_the_product_backend(tmp_path, graph_file, capsys):
+    # 8m >= n^2 picks dense products: 32 >= 25 for the 5-node graph, not so
+    # for one edge on 10 nodes
+    sparse = tmp_path / "sparse.edges"
+    sparse.write_text(write_edge_list(Graph.from_edge_list(10, [(0, 1)])))
+    for path, backend in ((graph_file, "dense"), (str(sparse), "csr")):
+        assert main(["solve", path, "--iters", "20", "--batch-size", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["backend"] == backend
+
+
 def test_solve_gamma_forms(graph_file, capsys):
     for flag in ("n", "6.5"):
         assert main(["solve", graph_file, "--gamma", flag, "--iters", "30", "--batch-size", "4"]) == 0

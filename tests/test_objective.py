@@ -7,6 +7,7 @@ from quadmis import (
     DimensionError,
     Graph,
     gen_er,
+    gen_gnm,
     InvalidGamma,
     ObjectiveParams,
     evaluate,
@@ -96,18 +97,20 @@ def test_gradient_columns_matches_loop(g, k, seed):
 
 def test_gradient_columns_width_invariant():
     # a column's gradient must not depend on the block around it: the
-    # solver drops finished columns and relies on the same bits for the rest
-    g = gen_er(700, 0.15, 0)
-    X = np.random.default_rng(3).random((g.n, 32))
-    for p in (ObjectiveParams(700.0), ObjectiveParams(700.0, complement_term_enabled=False)):
-        full = gradient_columns(g, p, X)
-        rng = np.random.default_rng(4)
-        for width in range(1, 33):
-            idx = np.sort(rng.choice(32, size=width, replace=False))
-            fancy = X[:, idx]  # F-ordered for width > 1
-            for sub in (fancy, np.ascontiguousarray(fancy), np.asfortranarray(fancy)):
-                got = gradient_columns(g, p, sub)
-                assert np.array_equal(got, full[:, idx]), (width, sub.flags.c_contiguous)
+    # solver drops finished columns and relies on the same bits for the
+    # rest, on the CSR backend and on the dense one (8m >= n^2)
+    for g, backend in ((gen_er(700, 0.15, 0), "csr"), (gen_gnm(120, 3570, 2), "dense")):
+        assert g.backend == backend
+        X = np.random.default_rng(3).random((g.n, 32))
+        for p in (ObjectiveParams(700.0), ObjectiveParams(700.0, complement_term_enabled=False)):
+            full = gradient_columns(g, p, X)
+            rng = np.random.default_rng(4)
+            for width in range(1, 33):
+                idx = np.sort(rng.choice(32, size=width, replace=False))
+                fancy = X[:, idx]  # F-ordered for width > 1
+                for sub in (fancy, np.ascontiguousarray(fancy), np.asfortranarray(fancy)):
+                    got = gradient_columns(g, p, sub)
+                    assert np.array_equal(got, full[:, idx]), (backend, width, sub.flags.c_contiguous)
 
 
 def test_gamma_select_modes(fig1):

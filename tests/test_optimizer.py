@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import quadmis.graph as graph_module
 import quadmis.optimizer as opt
 from quadmis import (
     AdamState,
@@ -18,6 +19,7 @@ from quadmis import (
     adam_step,
     gen_er,
     gen_gnm,
+    gnm_edge_count,
     resolve_config,
     run_resampling,
     solve,
@@ -117,6 +119,29 @@ def test_both_check_paths_match_reference(monkeypatch, keep, name, g, p, width, 
     assert any(item is not None for item in got[0])
 
 
+def test_csr_backend_on_dense_graph_matches_reference(monkeypatch):
+    # the frozen reference takes CSR products; forcing the CSR operator on
+    # the dense-gnm shape keeps that path pinned where the rule picks dense
+    monkeypatch.setattr(graph_module, "_dense_adjacency", lambda n, m: False)
+    g = gen_gnm(120, 3570, 2)
+    assert g.backend == "csr"
+    p = ObjectiveParams(120.0)
+    X = np.random.default_rng(opt.CHUNK).random((g.n, opt.CHUNK))
+    got = opt._run_block(g, p, X, 64, 350, 0.5)
+    assert got == _frozen_run_block(g, p, X, 64, 350, 0.5)
+    assert any(item is not None for item in got[0])
+
+
+def test_dense_backend_rule():
+    # dense where 8m >= n^2, so the n^2 words fit in criterion 9's 8(n + m)
+    dense = [(800, 159800), (100, 2475), *((n, gnm_edge_count(n)) for n in (500, 1000, 2000))]
+    csr = [(700, 36700), (1290, 5418), (0, 0)]  # er700, sat1290, the empty graph
+    assert all(graph_module._dense_adjacency(n, m) for n, m in dense)
+    assert not any(graph_module._dense_adjacency(n, m) for n, m in csr)
+    assert Graph.from_edge_list(0, []).backend == "csr"
+    assert complete_graph(4).backend == "dense"
+
+
 def test_keeps_counts_rule():
     # dense and wide blocks keep counts; sparse graphs and width-1 blocks on
     # small graphs take a product per check
@@ -160,7 +185,7 @@ def test_update_counts_matches_product(case):
     product = D.sum() * opt.COUNTS_ENTRY_COST > g.n * D.any(axis=0).sum()
     entries = (g.degrees[:, None] * D).sum()
     assert path == ("product" if product else "slices" if entries > C.size else "update")
-    opt._update_counts(A, C, Znew, D, D.any(axis=0))
+    opt._update_counts(g, C, Znew, D, D.any(axis=0))
     assert np.array_equal(C, A.dot(Znew.astype(np.float64)))
 
 
@@ -427,6 +452,50 @@ def test_block_error_reaches_the_caller(monkeypatch):
     with pytest.raises(RuntimeError, match="block failed in process") as err:
         solve(g, cfg, workers=2)
     assert int(str(err.value).split()[-1]) != os.getpid()  # the block ran in a worker
+    assert multiprocessing.active_children() == []
+
+
+def test_solve_runs_blocks_on_one_blas_thread(monkeypatch):
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            loaded = any("openblas" in line.rsplit("/", 1)[-1].lower() for line in maps)
+    except OSError:
+        loaded = False
+    if not loaded:
+        pytest.skip("no OpenBLAS library loaded")
+    pairs = opt._openblas_threads()
+    assert pairs
+    get, put = pairs[0]
+    run_block = opt._run_block
+    seen = []
+
+    def counting_block(*args):
+        seen.append(get())
+        return run_block(*args)
+
+    def failing_block(*args):
+        raise RuntimeError(f"{get()} BLAS threads in process {os.getpid()}")
+
+    g = gen_er(200, 0.1, 1)
+    cfg = SolverConfig(gamma=200.0, alpha=0.6, iterations=50, batch_size=3 * opt.CHUNK, seed=1)
+    caller = get()
+    put(2)
+    try:
+        monkeypatch.setattr(opt, "_run_block", counting_block)
+        assert solve(g, cfg, workers=1).runs_completed == cfg.batch_size
+        assert seen == [1, 1, 1]
+        assert get() == 2  # restored after solve returns
+        run_resampling(g, cfg.params(), 100, 0.6, 0)
+        assert len(seen) > 3 and set(seen) == {1}
+        assert get() == 2
+        monkeypatch.setattr(opt, "_run_block", failing_block)
+        with pytest.raises(RuntimeError, match="BLAS threads") as err:
+            solve(g, cfg, workers=2)
+        threads, *_, pid = str(err.value).split()
+        assert int(threads) == 1 and int(pid) != os.getpid()  # a forked worker inherits the pin
+        assert get() == 2  # restored after solve raises
+    finally:
+        put(caller)
     assert multiprocessing.active_children() == []
 
 
