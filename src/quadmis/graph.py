@@ -1,5 +1,8 @@
 """Immutable undirected simple graphs stored in CSR form.
 
+Graph.from_edge_list builds the CSR arrays with one sort of int64 entry
+keys u * n + v, so a graph has fewer than 2^31 nodes.
+
 The complement graph is never materialized anywhere in this package.
 Everything the solver needs from it follows from sum identities (see
 objective.py), so it needs only products A·X with the input graph's
@@ -21,7 +24,8 @@ from scipy import sparse
 from .errors import InputError
 
 class InvalidEdge(InputError):
-    """Self-loop or endpoint outside [0, n)."""
+    """Self-loop, endpoint outside [0, n), or a graph too large for int32
+    adjacency indices."""
 
 
 @dataclass(frozen=True)
@@ -92,10 +96,15 @@ class Graph:
     def from_edge_list(cls, n: int, edges) -> "Graph":
         """Build from (u, v) pairs; duplicates and mirrored pairs collapse.
 
-        Accepts any iterable of pairs or an (m, 2) integer array.
+        Accepts any iterable of pairs or an (m, 2) integer array, on fewer
+        than 2^31 nodes.
         """
         if n < 0:
             raise ValueError("node count must be non-negative")
+        # int32 indices keep the scipy matvec path copy-free, and below 2^31
+        # nodes every entry key u * n + v fits in int64
+        if n >= 2**31:
+            raise InvalidEdge("node count too large for 32-bit adjacency indices")
         if isinstance(edges, np.ndarray):
             e = edges.astype(np.int64, copy=False).reshape(-1, 2)
         else:
@@ -105,20 +114,19 @@ class Graph:
                 raise InvalidEdge("edge endpoint outside [0, n)")
             if (e[:, 0] == e[:, 1]).any():
                 raise InvalidEdge("self-loops are not allowed")
-            lo = np.minimum(e[:, 0], e[:, 1])
-            hi = np.maximum(e[:, 0], e[:, 1])
-            e = np.unique(np.stack([lo, hi], axis=1), axis=0)
-        src = np.concatenate([e[:, 0], e[:, 1]])
-        dst = np.concatenate([e[:, 1], e[:, 0]])
-        order = np.lexsort((dst, src))
-        # int32 indices keep the scipy matvec path copy-free; 2^31 directed
-        # entries is far beyond this package's scale
-        if src.size >= 2**31:
+        # entry (u, v) has key u * n + v, so sorted keys run row by row with
+        # each row's columns ascending: one sort, and a mask to drop repeats
+        keys = np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]])
+        keys.sort()
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
+        if keys.size >= 2**31:
             raise InvalidEdge("graph too large for 32-bit adjacency indices")
-        indices = dst[order].astype(np.int32)
-        counts = np.bincount(src, minlength=n)
+        rows, cols = np.divmod(keys, n)
+        indices = cols.astype(np.int32)
         indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(counts, out=indptr[1:])
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(n, indptr, indices)
 
     def neighbors(self, v: int) -> np.ndarray:

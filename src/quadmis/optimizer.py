@@ -285,7 +285,7 @@ def _run_block(g, p, X, start, iterations, alpha):
             if ok.any():
                 for c in np.flatnonzero(ok):
                     j = int(cols[c])
-                    found[j] = (start + j, tuple(int(v) for v in np.flatnonzero(Z[:, c])), t)
+                    found[j] = (start + j, tuple(np.flatnonzero(Z[:, c]).tolist()), t)
                 live = ~ok
                 cols = cols[live]
                 if cols.size == 0:

@@ -101,6 +101,13 @@ def test_solve_missing_file(capsys):
     assert main(["solve", "/no/such/file.edges"]) == 2
 
 
+def test_solve_rejects_node_count_beyond_int32(tmp_path, capsys):
+    path = tmp_path / "huge.dimacs"
+    path.write_text("p edge 2147483648 0\n")
+    assert main(["solve", str(path)]) == 2
+    assert "32-bit" in capsys.readouterr().err
+
+
 def test_solve_csv_output(graph_file, capsys):
     rc = main([
         "solve", graph_file, "--gamma", "n", "--iters", "30",

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadmis import Graph, InvalidEdge, NodeSet
+from quadmis import Graph, InvalidEdge, NodeSet, gen_er, gen_gnm, parse_dimacs
 
 from conftest import dense_adjacency, graph_inputs
 
@@ -45,6 +48,14 @@ def test_out_of_range_rejected():
 def test_negative_n_rejected():
     with pytest.raises(ValueError):
         Graph.from_edge_list(-1, [])
+
+
+def test_node_count_beyond_int32_rejected():
+    # raised before anything n-sized is allocated
+    with pytest.raises(InvalidEdge):
+        Graph.from_edge_list(2**31, [])
+    with pytest.raises(InvalidEdge):
+        Graph.from_edge_list(2**31, [(0, 1)])
 
 
 def test_empty_graph():
@@ -119,3 +130,60 @@ def test_neighbors_symmetric(g):
     for u, v in g.edge_array():
         assert u in g.neighbors(v)
         assert v in g.neighbors(u)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges): random pairs, with repeats and mirrored copies of some of
+    them, in shuffled order."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    if n < 2:
+        return n, []
+    node = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    mirrored = [(v, u) for u, v in draw(st.lists(st.sampled_from(pairs), max_size=n))] if pairs else []
+    return n, draw(st.permutations(pairs + pairs[: len(pairs) // 2] + mirrored))
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists())
+def test_csr_matches_dense_reference(case):
+    n, edges = case
+    a = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        a[u, v] = a[v, u] = True
+    _, cols = np.nonzero(a)
+    indptr = np.concatenate([[0], np.cumsum(a.sum(axis=1))]).astype(np.int32)
+    for given_edges in (edges, np.array(edges, dtype=np.int64), np.array(edges, dtype=np.int32)):
+        g = Graph.from_edge_list(n, given_edges)
+        assert g.indptr.dtype == np.int32 and g.indices.dtype == np.int32
+        np.testing.assert_array_equal(g.indptr, indptr)
+        np.testing.assert_array_equal(g.indices, cols.astype(np.int32))
+
+
+REPEATED_DIMACS = """c repeated and mirrored records
+p edge 7 10
+e 1 2
+e 2 1
+e 3 7
+e 7 3
+e 1 2
+e 5 4
+e 6 1
+e 4 5
+e 2 7
+e 6 1
+"""
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: gen_er(700, 0.15, 1000), "3f5d31136b842a1e4e64a75118a3743488d87c48e3ba18284e78f594be578beb"),
+    (lambda: gen_gnm(800, 159800, 1000), "dfc8d8a03bde97f90ff2881bbd5a199fddf525e5b3e8011ddb4bf604637efd17"),
+    (lambda: gen_gnm(100, 2475, 1000), "ac5029a4e30e1010bf0d56dabde9b984f8c543800325aab608fa6072d2fc4a6d"),
+    (lambda: parse_dimacs(REPEATED_DIMACS), "c5c6419589f8033e247fdc00296a1583e98220e053364ab0e9ee220fea8e0bba"),
+], ids=["er700", "gnm800", "gnm100", "dimacs"])
+def test_graphs_are_frozen(build, digest):
+    """The benchmark checks the solver's sets on its own copies of these
+    graphs, so generated and parsed graphs must not drift."""
+    edges = build().edge_array()
+    assert hashlib.sha256(edges.tobytes()).hexdigest() == digest
