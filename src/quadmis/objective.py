@@ -65,7 +65,12 @@ def _as_assignment(g: Graph, x) -> np.ndarray:
 
 
 def evaluate(g: Graph, p: ObjectiveParams, x) -> float:
-    """Objective value at x; one adjacency product."""
+    """Objective value at x; one adjacency product.
+
+    The product takes the caller's BLAS thread count (solve and
+    run_resampling pin it to one); on large dense graphs its last bits
+    depend on that count, by up to 1.1e-13 on G(2000, 999500).
+    """
     x = _as_assignment(g, x)
     ax = g.adjacency_product(x[:, None])[:, 0]
     quad = float(x @ ax)
@@ -93,6 +98,9 @@ def gradient_columns(g: Graph, p: ObjectiveParams, X: np.ndarray) -> np.ndarray:
     Column j of the result depends only on column j of X, bit for bit: the
     same column gives the same gradient in a block of any width or layout.
     The batched form exists so the solver can amortize the product.
+    Outside solve and run_resampling, which pin BLAS to one thread, the
+    product takes the caller's BLAS thread count, and on large dense
+    graphs its last bits depend on it: by up to 1.1e-13 on G(2000, 999500).
     """
     if X.ndim != 2 or X.shape[0] != g.n:
         raise DimensionError(f"expected (n, k) matrix with n={g.n}, got {X.shape}")

@@ -640,6 +640,99 @@ def test_resampling_budget_counts_every_step():
     assert len(run_resampling(g, p, ends[2] - 1, 0.5, 9).found_sizes) == 2
 
 
+def _recording_widths(monkeypatch):
+    """Record the width of every block that _run_block is given."""
+    widths = []
+    run_block = opt._run_block
+
+    def recording(g, p, X, *rest):
+        widths.append(X.shape[1])
+        return run_block(g, p, X, *rest)
+
+    monkeypatch.setattr(opt, "_run_block", recording)
+    return widths
+
+
+@pytest.mark.parametrize("name,g,p,iterations,seed", RESAMPLING_CASES, ids=[c[0] for c in RESAMPLING_CASES])
+def test_resampling_block_width_changes_nothing(monkeypatch, name, g, p, iterations, seed):
+    # the full budget, and budgets that end inside a block: on a
+    # certificate's last step and one step before it
+    ends = _frozen_run_resampling(g, p, iterations, 0.5, seed)[2]
+    end = ends[min(2, len(ends) - 1)]
+    widths = _recording_widths(monkeypatch)
+    for budget in (iterations, end, end - 1):
+        sizes, best, _ = _frozen_run_resampling(g, p, budget, 0.5, seed)
+        for width in (1, 3, 8, opt.CHUNK):
+            monkeypatch.setattr(opt, "_restart_width", lambda left, used, certified: width)
+            widths.clear()
+            out = run_resampling(g, p, budget, 0.5, seed)
+            assert set(widths) == {width}
+            assert out.found_sizes == sizes
+            assert (None if out.best is None else out.best.members) == best
+
+
+def test_restart_width_rule():
+    assert opt._restart_width(10_000, 0, 0) == opt.RESTART_FIRST_WIDTH
+    assert opt._restart_width(9_000, 1_000, 10) == opt.CHUNK  # about 90 more
+    assert opt._restart_width(900, 1_000, 10) == 9
+    assert opt._restart_width(50, 9_950, 2) == 1
+
+
+def _poisoned_at(grad, x, hits):
+    """grad with NaN in every column equal to x; records how many it hit."""
+
+    def poisoned(g, p, X):
+        G = grad(g, p, X)
+        hit = (X == x[:, None]).all(axis=0)
+        hits.append(int(hit.sum()))
+        G[:, hit] = np.nan
+        return G
+
+    return poisoned
+
+
+def test_resampling_raises_only_within_the_budget(monkeypatch):
+    # start 2's gradient goes non-finite after its first step, so its run
+    # fails at step 2. The one-at-a-time loop raises when runs 0 and 1 leave
+    # it two steps or more, and not when they leave fewer, although a block
+    # of width 3 or more runs start 2 past that point.
+    g, p = gen_gnm(30, 200, 5), ObjectiveParams(30.0)
+    ends = _frozen_run_resampling(g, p, 300, 0.5, 9)[2]
+    assert ends[2] - ends[1] > 2  # run 2 does not certify by step 2
+    x1 = adam_step(g, p, np.random.default_rng([9, 2]).random(g.n), AdamState.fresh(g.n), 0.5)
+    hits = []
+    monkeypatch.setattr(opt, "gradient_columns", _poisoned_at(opt.gradient_columns, x1, hits))
+    widths = _recording_widths(monkeypatch)
+    for budget, raises in ((ends[1], False), (ends[1] + 1, False), (ends[1] + 2, True), (300, True)):
+        sizes, best, _ = _frozen_run_resampling(g, p, budget, 0.5, 9)
+        for width in (1, 3, 8, opt.CHUNK):
+            monkeypatch.setattr(opt, "_restart_width", lambda left, used, certified: width)
+            hits.clear()
+            widths.clear()
+            if raises:
+                with pytest.raises(NumericalError):
+                    run_resampling(g, p, budget, 0.5, 9)
+            else:
+                out = run_resampling(g, p, budget, 0.5, 9)
+                assert out.found_sizes == sizes and len(sizes) == 2
+                assert out.best is not None and out.best.members == best
+            assert any(hits) == (raises or width >= 3)
+            assert widths[0] == width and set(widths[1:]) <= {1, width}
+
+
+@pytest.mark.parametrize("iterations", [2.5, np.float64(10.0), True, -1, "10", None])
+def test_resampling_rejects_bad_budget(fig1, iterations):
+    with pytest.raises(ValueError, match="iterations"):
+        run_resampling(fig1, ObjectiveParams(5.0), iterations=iterations, alpha=0.5, seed=0)
+
+
+def test_resampling_takes_zero_and_numpy_budgets(fig1):
+    p = ObjectiveParams(5.0)
+    assert run_resampling(fig1, p, 0, 0.5, 0) == opt.ResampleOutcome([], None, 0)
+    out = run_resampling(fig1, p, np.int64(40), 0.5, 0)
+    assert type(out.iterations) is int and out == run_resampling(fig1, p, 40, 0.5, 0)
+
+
 def test_adam_step_matches_scalar_reference():
     g = gen_gnm(30, 200, 5)
     p = ObjectiveParams(30.0)
