@@ -5,7 +5,8 @@ Two independent routes:
 * fast_mis_check reads the definition off the neighbour counts c = A z: a
   binary z is a maximal independent set iff its members are exactly the
   nodes with no neighbour in it, (c == 0) == z. One adjacency product
-  total, none when the caller already holds the counts.
+  total, none when the caller already holds a product with the zero
+  pattern of the counts (the solver passes its kept product A X).
 * direct_mis_check walks every node's neighborhood, the plain reference.
 
 Neither depends on gamma. With gamma >= n the projected-gradient fixed
@@ -41,9 +42,15 @@ def fast_mis_check(g: Graph, z) -> bool:
 def fast_mis_check_batch(g: Graph, Z: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
     """Column-wise fast check of an (n, k) binary matrix; no validation.
 
-    Z is boolean or 0/1 floats. counts, when given, is the product A Z
-    (the neighbour counts the solver keeps), and the check then computes
-    no product.
+    Z is boolean or 0/1 floats. counts, when given, is any nonnegative
+    (n, k) matrix with the zero pattern of the product A Z, and the check
+    then computes no product: it reads only which entries are zero. The
+    solver passes its kept product A X, where Z = X > 0 and X >= 0. Entry
+    (v, j) of A X is the sum of the terms a_vu x_uj >= 0 with a_vu in
+    {0, 1}, which is 0.0 exactly when every term is, in any order of
+    summation and with or without fused multiply-adds; and a term is 0
+    exactly when a_vu z_uj is. So the verdict is the one A Z gives, bit
+    for bit, on either product backend.
     """
     if counts is None:
         counts = g.adjacency_product(Z)

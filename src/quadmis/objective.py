@@ -93,7 +93,8 @@ def gradient(g: Graph, p: ObjectiveParams, x) -> np.ndarray:
 
 
 def gradient_columns(g: Graph, p: ObjectiveParams, X: np.ndarray) -> np.ndarray:
-    """Gradient of every column of an (n, k) matrix at once.
+    """Gradient of every column of an (n, k) matrix at once:
+    gradient_from_product on the product A·X.
 
     Column j of the result depends only on column j of X, bit for bit: the
     same column gives the same gradient in a block of any width or layout.
@@ -104,14 +105,23 @@ def gradient_columns(g: Graph, p: ObjectiveParams, X: np.ndarray) -> np.ndarray:
     """
     if X.ndim != 2 or X.shape[0] != g.n:
         raise DimensionError(f"expected (n, k) matrix with n={g.n}, got {X.shape}")
-    G = g.adjacency_product(X)
-    # (gamma + 1) A X - sum(X) + X - 1, evaluated in place left to right
+    return gradient_from_product(p, X, g.adjacency_product(X))
+
+
+def gradient_from_product(p: ObjectiveParams, X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The gradient of the columns of X, given their product P = A·X.
+
+    The one copy of the gradient formula; returns a new array and leaves
+    X and P unchanged, so the solver kernel can keep P. Column j of the
+    result depends only on column j of X and of P, bit for bit.
+    """
+    # (gamma + 1) A X - sum(X) + X - 1, evaluated left to right
     if p.complement_term_enabled:
-        G *= p.gamma + 1.0
+        G = P * (p.gamma + 1.0)
         G -= _column_sums(X)
         G += X
     else:
-        G *= p.gamma
+        G = P * p.gamma
     G -= 1.0
     return G
 

@@ -19,13 +19,13 @@ pins BLAS the same way.
 Inside a block the kernel works on live columns only. A column that has
 certified or gone non-finite is dropped, and only columns whose
 thresholded support changed since the last check are checked again. The
-gradient is kept from one iteration to the next and recomputed only for
-the columns the Adam step moved: a column whose iterate did not change
-(momentum often holds it at a box vertex) has the gradient it had.
-On dense graphs (see _keeps_counts) a block also keeps the check's
-neighbour counts A·Z and updates them from the adjacency rows of the nodes
-whose threshold flipped, instead of taking a product per check. The
-counts are exact integers, so this changes no bit either.
+kernel keeps P, the product A·X of every live column, from one iteration
+to the next and takes one product per iteration, for the columns the Adam
+step moved: a column whose iterate did not change (momentum often holds
+it at a box vertex) has the product it had. The gradient is formed from
+P, and the check reads its verdict off P too: with X >= 0 and Z = X > 0,
+an entry of A·X is zero exactly where the same entry of A·Z is, since
+each is a sum of nonnegative terms, so the verdict is the one A·Z gives.
 Each column's arithmetic is the same whatever the width of the block it
 sits in, so dropping columns and skipping products change no result. That
 holds on both product backends (Graph.adjacency_product): dense products
@@ -56,7 +56,8 @@ from .checker import fast_mis_check, fast_mis_check_batch  # noqa: F401  (perfbe
 from .errors import InputError
 from .graph import Graph, NodeSet
 from .initialization import SCHEMES, initial_mean, sample_around, sample_block
-from .objective import ObjectiveParams, gradient, gradient_columns
+from .objective import ObjectiveParams, gradient, gradient_from_product
+from .objective import gradient_columns  # noqa: F401  (perfbench/tracer.py wraps these names)
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -78,24 +79,6 @@ CHUNK = 32
 # the worker count, so results stay worker-count invariant.
 RESTART_ETA = 0.25
 RESTART_LAG = 4
-
-# A block keeps the check's neighbour counts only where a full product A·Z
-# clearly costs more than the few passes over the block that their upkeep
-# takes: an average degree of at least COUNTS_MIN_DEGREE and at least
-# COUNTS_MIN_ENTRIES adjacency entries times columns. Below either the
-# upkeep cost more than it saved (planted 3-SAT at degree 8.4; width-1
-# blocks on G(100, 2475)).
-COUNTS_MIN_DEGREE = 32
-COUNTS_MIN_ENTRIES = 1 << 16
-
-# Updating the counts costs about this many times as much per adjacency
-# entry as a CSR product does per entry and column (numpy gather and
-# scatter, about 10 ns, against about 0.5 ns). So a step that flips more
-# than 1/COUNTS_ENTRY_COST of the entries of the columns it changes takes a
-# product for them instead; early steps, which flip many nodes, do. (Set
-# against CSR products; a dense one took about 0.15 ns per entry and column
-# on G(800, 159800).)
-COUNTS_ENTRY_COST = 16
 
 # Width of run_resampling's first block, before any run has certified and
 # so before any pace is known. Only speed depends on it, never results,
@@ -246,24 +229,22 @@ def _run_block(g, p, X, start, iterations, alpha):
 
     Work goes to live columns only: a column that certifies or whose
     gradient goes non-finite is dropped from the iterate, the kept
-    gradient and both moment matrices, and `cols` maps each remaining
-    column back to its place in X. The raw gradient G is kept across
-    iterations: after each update only the columns in the `moved` mask
-    (the iterate changed) get a new product, since the gradient is a pure
-    function of the column. After the last iteration none is computed.
-    Likewise only the live columns whose thresholded support changed are
-    checked; the check is a pure function of that support, so an
-    unchanged one is known to fail again. A gradient is tested for
-    finiteness once, when it is computed; a column that fails drops at the
-    top of the next iteration.
+    product, the gradient and both moment matrices, and `cols` maps each
+    remaining column back to its place in X. P is A·X of every live
+    column: after each update only the columns in the `moved` mask (the
+    iterate changed) get a new product, since an unmoved column's product
+    is the one it had. The check reads its verdict off P, and the
+    gradient G is formed from P for the moved columns that stay live;
+    after the last iteration none is formed. Likewise only the live
+    columns whose thresholded support changed are checked; the check is a
+    pure function of that support, so an unchanged one is known to fail
+    again. A gradient is tested for finiteness once, when it is formed; a
+    column that fails drops at the top of the next iteration.
 
-    Where _keeps_counts(n, m, width) holds, C keeps the neighbour counts
-    A·Z of the live columns (else it is None). One mask of flipped entries
-    gives both the changed columns and the update of C, and the check
-    reads C instead of taking the product A·Z. Every column sees exactly the
-    arithmetic it would see in the full block (gradient_columns is
-    width-invariant bit for bit), so results do not depend on which other
-    columns are still live or moved, nor on scheduling.
+    Every column sees exactly the arithmetic it would see in the full
+    block (adjacency_product and gradient_from_product are width-invariant
+    bit for bit), so results do not depend on which other columns are
+    still live or moved, nor on scheduling.
     """
     width = X.shape[1]
     X = np.array(X, dtype=np.float64, order="C")
@@ -271,10 +252,10 @@ def _run_block(g, p, X, start, iterations, alpha):
     M2 = np.zeros_like(X)
     cols = np.arange(width)
     Z = np.zeros(X.shape, dtype=bool)  # support of the live columns at the last check
-    C = np.zeros_like(X) if _keeps_counts(g.n, g.m, width) else None  # A·Z, or None
     found: list[tuple[int, tuple[int, ...], int] | None] = [None] * width
     failures = 0
-    G = gradient_columns(g, p, X)
+    P = g.adjacency_product(X)
+    G = gradient_from_product(p, X, P)
     finite = _finite_columns(G)
     for t in range(1, iterations + 1):
         if not finite.all():
@@ -282,18 +263,22 @@ def _run_block(g, p, X, start, iterations, alpha):
             cols = cols[finite]
             if cols.size == 0:
                 break
-            X, M1, M2, G, Z, C = _keep(finite, X, M1, M2, G, Z, C)
+            X, M1, M2, G, P, Z = _keep(finite, X, M1, M2, G, P, Z)
         X, moved = _adam_update(X, M1, M2, G, t, alpha)
+        if moved.all():
+            P = g.adjacency_product(X)
+        elif moved.any():
+            P[:, moved] = g.adjacency_product(np.compress(moved, X, axis=1))
         Znew = X > 0.0
-        flips = Znew != Z
-        changed = _per_column(np.logical_or, flips) if t > 1 else np.ones(cols.size, dtype=bool)
-        if C is not None:
-            _update_counts(g, C, Znew, flips, changed)
+        # a column whose support changed has moved, so P is its current
+        # product; at t = 1 an unmoved column keeps its initial one
+        changed = _differs(Znew, Z) if t > 1 else np.ones(cols.size, dtype=bool)
         Z = Znew
         if changed.any():
             ok = np.zeros(cols.size, dtype=bool)
-            counts = None if C is None else np.compress(changed, C, axis=1)
-            ok[changed] = checker.fast_mis_check_batch(g, np.compress(changed, Z, axis=1), counts)
+            ok[changed] = checker.fast_mis_check_batch(
+                g, np.compress(changed, Z, axis=1), np.compress(changed, P, axis=1)
+            )
             if ok.any():
                 for c in np.flatnonzero(ok):
                     j = int(cols[c])
@@ -302,69 +287,27 @@ def _run_block(g, p, X, start, iterations, alpha):
                 cols = cols[live]
                 if cols.size == 0:
                     break
-                X, M1, M2, Z, C = _keep(live, X, M1, M2, Z, C)
+                X, M1, M2, Z, P = _keep(live, X, M1, M2, Z, P)
                 moved = moved[live]
-                if not moved.all():  # else G is recomputed below
+                if not moved.all():  # else G is formed below
                     G = np.compress(live, G, axis=1)
         if t == iterations:
             break
         if moved.all():
-            G = gradient_columns(g, p, X)
+            G = gradient_from_product(p, X, P)
             finite = _finite_columns(G)
         else:
             finite = ~moved  # a kept gradient is finite: the others dropped with their columns
             if moved.any():
-                fresh = gradient_columns(g, p, np.compress(moved, X, axis=1))
+                fresh = gradient_from_product(p, np.compress(moved, X, axis=1), np.compress(moved, P, axis=1))
                 G[:, moved] = fresh
                 finite[moved] = _finite_columns(fresh)
     return found, failures, width
 
 
-def _keeps_counts(n, m, width):
-    """Whether a block keeps the check's neighbour counts; see COUNTS_MIN_DEGREE."""
-    return 2 * m >= COUNTS_MIN_DEGREE * n and 2 * m * width >= COUNTS_MIN_ENTRIES
-
-
-def _update_counts(g, C, Znew, D, hit):
-    """Bring the neighbour counts C = A·Z to A·Znew in place, A being g's
-    adjacency; D is Znew != Z.
-
-    hit marks the columns of D with a flip, or more of them: a marked column
-    without one has no row to add and a product of it keeps its counts.
-
-    C is a C-ordered float64 (n, k) matrix of integers. Each flipped node
-    adds its adjacency row to its column's counts, or subtracts it, in
-    slices of about C.size entries so that no transient array outgrows C.
-    When more than 1/COUNTS_ENTRY_COST of the entries of the columns with
-    a flip flipped, those columns get a product instead. The rows are read
-    from g.indptr and g.indices, so the dense backend needs no CSR matrix.
-    """
-    n, k = C.shape
-    if np.count_nonzero(D) * COUNTS_ENTRY_COST > n * np.count_nonzero(hit):
-        C[:, hit] = g.adjacency_product(np.compress(hit, Znew, axis=1))
-        return
-    flips = np.flatnonzero(D)  # node * k + column
-    nodes, cols = np.divmod(flips, k)
-    lens = g.indptr[nodes + 1] - g.indptr[nodes]
-    ends = np.cumsum(lens)
-    total = int(ends[-1]) if ends.size else 0
-    offsets = g.indptr[nodes] - ends + lens  # entry e of the flips' rows is g.indices[offset + e]
-    signs = np.where(Znew.reshape(-1)[flips], 1.0, -1.0)
-    cuts = [0, *np.searchsorted(ends, np.arange(C.size, total, C.size)).tolist(), flips.size]
-    for a, b in zip(cuts, cuts[1:]):
-        if a == b:
-            continue
-        ln = lens[a:b]
-        pos = np.repeat(offsets[a:b], ln)
-        pos += np.arange(ends[a] - lens[a], ends[b - 1])
-        np.multiply(g.indices[pos], k, out=pos)  # flip into C: neighbour * k + column
-        pos += np.repeat(cols[a:b], ln)
-        np.add.at(C.reshape(-1), pos, np.repeat(signs[a:b], ln))
-
-
 def _keep(mask, *arrays):
     """The columns of each array that mask selects, as C-ordered copies."""
-    return [None if a is None else np.compress(mask, a, axis=1) for a in arrays]
+    return [np.compress(mask, a, axis=1) for a in arrays]
 
 
 def _finite_columns(G):

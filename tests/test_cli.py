@@ -160,7 +160,7 @@ def test_workers_below_one_rejected(tmp_path, graph_file, capsys, monkeypatch, c
 
 def test_numerical_failure_exits_3(graph_file, capsys, monkeypatch):
     # no run certified and some went non-finite
-    monkeypatch.setattr(opt, "gradient_columns", lambda g, p, X: np.full(X.shape, np.nan))
+    monkeypatch.setattr(opt, "gradient_from_product", lambda p, X, P: np.full(X.shape, np.nan))
     assert main(["solve", graph_file, "--iters", "5", "--batch-size", "2"]) == 3
 
 

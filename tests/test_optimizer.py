@@ -69,20 +69,26 @@ def _frozen_run_block(g, p, X, start, iterations, alpha, grad=_frozen_gradient_c
     return found, failures, width
 
 
-def _poisoned(grad):
+def _poison(X, G):
     # columns that are not binary and whose bytes have a CRC divisible by
     # 128 go non-finite; a function of the column alone, so both kernels
     # poison the same runs at the same iteration, however many columns
     # each call recomputes
-    def poisoned(g, p, X):
-        G = grad(g, p, X)
-        for j in range(X.shape[1]):
-            col = np.ascontiguousarray(X[:, j])
-            if ((col != 0.0) & (col != 1.0)).any() and zlib.crc32(col.tobytes()) % 128 == 0:
-                G[:, j] = np.nan
-        return G
+    for j in range(X.shape[1]):
+        col = np.ascontiguousarray(X[:, j])
+        if ((col != 0.0) & (col != 1.0)).any() and zlib.crc32(col.tobytes()) % 128 == 0:
+            G[:, j] = np.nan
+    return G
 
-    return poisoned
+
+def _poisoned(grad):
+    # the reference's gradient, called as grad(g, p, X)
+    return lambda g, p, X: _poison(X, grad(g, p, X))
+
+
+def _poisoned_form(form):
+    # the kernel's gradient, called as form(p, X, P) with P = A·X
+    return lambda p, X, P: _poison(X, form(p, X, P))
 
 
 KERNEL_CASES = [
@@ -92,6 +98,7 @@ KERNEL_CASES = [
     ("sparse", gen_er(400, 0.01, 3), ObjectiveParams(775.0), opt.CHUNK, 50, 0.9),
     ("partial", gen_er(200, 0.1, 4), ObjectiveParams(200.0), 7, 150, 0.6),
     ("no-complement", gen_er(150, 0.1, 5), ObjectiveParams(1.5, False), opt.CHUNK, 200, 0.5),
+    ("width-1", gen_gnm(100, 2475, 0), ObjectiveParams(100.0), 1, 400, 0.5),
 ]
 
 
@@ -106,17 +113,24 @@ def test_kernel_matches_full_width_reference(name, g, p, width, iterations, alph
 
 
 @pytest.mark.parametrize("keep", [True, False], ids=["counts", "products"])
-@pytest.mark.parametrize("name,g,p,width,iterations,alpha", [
-    *KERNEL_CASES,
-    ("width-1", gen_gnm(100, 2475, 0), ObjectiveParams(100.0), 1, 400, 0.5),
-], ids=[c[0] for c in KERNEL_CASES] + ["width-1"])
+@pytest.mark.parametrize("name,g,p,width,iterations,alpha", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
 def test_both_check_paths_match_reference(monkeypatch, keep, name, g, p, width, iterations, alpha):
-    # keeping the neighbour counts or taking a product per check changes no bit
-    monkeypatch.setattr(opt, "_keeps_counts", lambda n, m, w: keep)
+    # the check reading its zero pattern off the kernel's kept product A·X
+    # ("counts") or taking the neighbour counts A·Z itself ("products")
+    # changes no bit
+    check = opt.checker.fast_mis_check_batch
+    handed = []
+
+    def checked(g, Z, counts=None):
+        handed.append(counts is not None)
+        return check(g, Z, counts if keep else None)
+
+    monkeypatch.setattr(opt.checker, "fast_mis_check_batch", checked)
     X = np.random.default_rng(width).random((g.n, width))
     got = opt._run_block(g, p, X, 64, iterations, alpha)
     assert got == _frozen_run_block(g, p, X, 64, iterations, alpha)
     assert any(item is not None for item in got[0])
+    assert handed and all(handed)
 
 
 def test_csr_backend_on_dense_graph_matches_reference(monkeypatch):
@@ -142,59 +156,12 @@ def test_dense_backend_rule():
     assert complete_graph(4).backend == "dense"
 
 
-def test_keeps_counts_rule():
-    # dense and wide blocks keep counts; sparse graphs and width-1 blocks on
-    # small graphs take a product per check
-    assert opt._keeps_counts(800, 159800, opt.CHUNK)  # gnm800
-    assert opt._keeps_counts(700, 36700, opt.CHUNK)  # er700
-    assert not opt._keeps_counts(1290, 5418, opt.CHUNK)  # sat1290, degree 8.4
-    assert not opt._keeps_counts(100, 2475, 1)  # resample100
-    assert not opt._keeps_counts(0, 0, opt.CHUNK)
-
-
-def _count_cases():
-    # (name, graph, Z, Znew, path): "update" adds the flipped rows in one
-    # slice, "slices" in several, "product" takes a product
-    rng = np.random.default_rng(11)
-    g = gen_er(120, 0.3, 6)
-    Z = rng.random((g.n, 8)) < 0.4
-    few, many = Z.copy(), Z.copy()
-    few[rng.integers(0, g.n, 6), rng.integers(0, 8, 6)] ^= True
-    many[rng.choice(g.n, 5, replace=False)[:, None], np.arange(8)] ^= True
-    yield "random", g, Z, few, "update"
-    yield "none", g, Z, Z.copy(), "update"
-    yield "slices", g, Z, many, "slices"
-    yield "all", g, Z, ~Z, "product"
-    yield "one-column", g, Z[:, :1].copy(), ~Z[:, :1], "product"
-    yield "from-empty", g, np.zeros((g.n, 8), dtype=bool), rng.random((g.n, 8)) < 0.5, "product"
-    # K20 plus 30 isolated nodes; flips of isolated nodes add nothing
-    isolated = Graph.from_edge_list(50, [(u, v) for u in range(20) for v in range(u + 1, 20)])
-    Zi = rng.random((isolated.n, 4)) < 0.5
-    Zi_new = Zi.copy()
-    Zi_new[[0, 25, 40, 1, 30, 49, 33], [0, 0, 0, 1, 1, 2, 3]] ^= True
-    yield "isolated", isolated, Zi, Zi_new, "update"
-    yield "isolated-all", isolated, Zi, ~Zi, "product"
-
-
-@pytest.mark.parametrize("case", list(_count_cases()), ids=lambda c: c[0])
-def test_update_counts_matches_product(case):
-    _, g, Z, Znew, path = case
-    A = g.adjacency_csr()
-    D = Znew != Z
-    C = A.dot(Z.astype(np.float64))
-    product = D.sum() * opt.COUNTS_ENTRY_COST > g.n * D.any(axis=0).sum()
-    entries = (g.degrees[:, None] * D).sum()
-    assert path == ("product" if product else "slices" if entries > C.size else "update")
-    opt._update_counts(g, C, Znew, D, D.any(axis=0))
-    assert np.array_equal(C, A.dot(Znew.astype(np.float64)))
-
-
 def test_kernel_matches_reference_with_partial_poison(monkeypatch):
     g = gen_er(200, 0.1, 1)
     p = ObjectiveParams(200.0)
     X = np.random.default_rng(0).random((g.n, opt.CHUNK))
     want = _frozen_run_block(g, p, X, 0, 150, 0.6, grad=_poisoned(_frozen_gradient_columns))
-    monkeypatch.setattr(opt, "gradient_columns", _poisoned(opt.gradient_columns))
+    monkeypatch.setattr(opt, "gradient_from_product", _poisoned_form(opt.gradient_from_product))
     got = opt._run_block(g, p, X, 0, 150, 0.6)
     assert got == want
     found, failures, width = got
@@ -202,10 +169,10 @@ def test_kernel_matches_reference_with_partial_poison(monkeypatch):
     assert 0 < failures < width and certified > 0
 
 
-def _counting(grad, seen):
-    def counting(g, p, X):
+def _counting(form, seen):
+    def counting(p, X, P):
         seen.append(X.shape[1])
-        return grad(g, p, X)
+        return form(p, X, P)
 
     return counting
 
@@ -220,7 +187,7 @@ def test_kernel_skips_products_of_unmoved_columns(monkeypatch, name, g, p, width
     # and each live column-iteration starts from the column's gradient
     X = np.random.default_rng(width).random((g.n, width))
     seen = []
-    monkeypatch.setattr(opt, "gradient_columns", _counting(opt.gradient_columns, seen))
+    monkeypatch.setattr(opt, "gradient_from_product", _counting(opt.gradient_from_product, seen))
     found, failures, _ = opt._run_block(g, p, X, 0, iterations, alpha)
     live_col_iters = sum(iterations if item is None else item[2] for item in found)
     assert failures == 0
@@ -369,10 +336,10 @@ def test_restarts_start_at_best(monkeypatch):
 
 
 def test_numerical_failures_counted(fig1, monkeypatch):
-    def poisoned(g, p, X):
+    def poisoned(p, X, P):
         return np.full(X.shape, np.nan)
 
-    monkeypatch.setattr(opt, "gradient_columns", poisoned)
+    monkeypatch.setattr(opt, "gradient_from_product", poisoned)
     cfg = SolverConfig(gamma=5.0, alpha=0.5, iterations=10, batch_size=6, batch_count=2, seed=0)
     rep = solve(fig1, cfg, workers=1)
     assert rep.numerical_failures == 12
@@ -678,11 +645,11 @@ def test_restart_width_rule():
     assert opt._restart_width(50, 9_950, 2) == 1
 
 
-def _poisoned_at(grad, x, hits):
-    """grad with NaN in every column equal to x; records how many it hit."""
+def _poisoned_at(form, x, hits):
+    """form with NaN in every column equal to x; records how many it hit."""
 
-    def poisoned(g, p, X):
-        G = grad(g, p, X)
+    def poisoned(p, X, P):
+        G = form(p, X, P)
         hit = (X == x[:, None]).all(axis=0)
         hits.append(int(hit.sum()))
         G[:, hit] = np.nan
@@ -701,7 +668,7 @@ def test_resampling_raises_only_within_the_budget(monkeypatch):
     assert ends[2] - ends[1] > 2  # run 2 does not certify by step 2
     x1 = adam_step(g, p, np.random.default_rng([9, 2]).random(g.n), AdamState.fresh(g.n), 0.5)
     hits = []
-    monkeypatch.setattr(opt, "gradient_columns", _poisoned_at(opt.gradient_columns, x1, hits))
+    monkeypatch.setattr(opt, "gradient_from_product", _poisoned_at(opt.gradient_from_product, x1, hits))
     widths = _recording_widths(monkeypatch)
     for budget, raises in ((ends[1], False), (ends[1] + 1, False), (ends[1] + 2, True), (300, True)):
         sizes, best, _ = _frozen_run_resampling(g, p, budget, 0.5, 9)
@@ -749,7 +716,7 @@ def test_adam_step_matches_scalar_reference():
 
 
 def test_resampling_raises_on_nan(fig1, monkeypatch):
-    monkeypatch.setattr(opt, "gradient_columns", lambda g, p, X: np.full(X.shape, np.nan))
+    monkeypatch.setattr(opt, "gradient_from_product", lambda p, X, P: np.full(X.shape, np.nan))
     with pytest.raises(NumericalError):
         run_resampling(fig1, ObjectiveParams(5.0), iterations=10, alpha=0.5, seed=0)
 
