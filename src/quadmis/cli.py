@@ -158,8 +158,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    with open(args.suite) as fh:
-        suite = parse_suite(fh.read())
+    try:
+        with open(args.suite, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"suite is not UTF-8 text: {exc}") from None
+    suite = parse_suite(text)
     summary = bench_suite(suite, workers=_workers(args))
     _emit(write_summary(summary, args.output), args.out)
     return 0

@@ -194,11 +194,14 @@ class Graph:
         adds each row's entries in index order. A dense one runs on a copy
         of X zero-padded to a C-ordered block whose width is a multiple of
         8: unpadded, BLAS sums some widths (1-4, 9-12, ... on
-        G(120, 3570)) in another order.
+        G(120, 3570)) in another order. A C-ordered float64 X whose width
+        is already a multiple of 8 is that copy, so it goes to BLAS as it is.
         """
         if self.backend == "csr":
             return self.adjacency_csr().dot(X)
         n, k = X.shape
+        if k % 8 == 0 and X.dtype == np.float64 and X.flags.c_contiguous:
+            return self.adjacency() @ X
         padded = np.zeros((n, -(-k // 8) * 8))
         padded[:, :k] = X
         product = self.adjacency() @ padded

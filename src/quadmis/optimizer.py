@@ -18,7 +18,12 @@ pins BLAS the same way.
 
 Inside a block the kernel works on live columns only. A column that has
 certified or gone non-finite is dropped, and only columns whose
-thresholded support changed since the last check are checked again. The
+thresholded support changed since the last check are checked again: an
+iteration in which no column moved tests no support at all, and one in
+which every column's support changed checks the block whole. Each mask
+the kernel branches on is counted once per iteration, since on narrow
+blocks of small graphs the cost of each numpy call, not the arithmetic,
+sets the time. The
 kernel keeps P, the product A·X of every live column, from one iteration
 to the next and takes one product per iteration, for the columns the Adam
 step moved: a column whose iterate did not change (momentum often holds
@@ -52,6 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checker
+from .checker import per_column
 from .checker import fast_mis_check, fast_mis_check_batch  # noqa: F401  (perfbench/tracer.py wraps these names)
 from .errors import InputError
 from .graph import Graph, NodeSet
@@ -241,6 +247,17 @@ def _run_block(g, p, X, start, iterations, alpha):
     again. A gradient is tested for finiteness once, when it is formed; a
     column that fails drops at the top of the next iteration.
 
+    Each iteration keeps its fixed cost down, since on narrow blocks of
+    small graphs that cost, not the arithmetic, sets the time:
+
+    * each of the masks finite, moved, changed and ok is counted once,
+      and the loop branches on the counts;
+    * after the first iteration, one in which no column moved skips the
+      support test and the check, since no support can have changed,
+      and forms no gradient;
+    * when every live column changed, the check gets Z and P whole, with
+      no copies of the changed columns.
+
     Every column sees exactly the arithmetic it would see in the full
     block (adjacency_product and gradient_from_product are width-invariant
     bit for bit), so results do not depend on which other columns are
@@ -251,57 +268,76 @@ def _run_block(g, p, X, start, iterations, alpha):
     M1 = np.zeros_like(X)
     M2 = np.zeros_like(X)
     cols = np.arange(width)
+    k = width  # live columns, cols.size
     Z = np.zeros(X.shape, dtype=bool)  # support of the live columns at the last check
     found: list[tuple[int, tuple[int, ...], int] | None] = [None] * width
     failures = 0
     P = g.adjacency_product(X)
     G = gradient_from_product(p, X, P)
     finite = _finite_columns(G)
+    nfinite = np.count_nonzero(finite)
     for t in range(1, iterations + 1):
-        if not finite.all():
-            failures += int((~finite).sum())
-            cols = cols[finite]
-            if cols.size == 0:
+        if nfinite < k:
+            failures += int(k - nfinite)
+            if nfinite == 0:
                 break
+            cols = cols[finite]
+            k = nfinite
             X, M1, M2, G, P, Z = _keep(finite, X, M1, M2, G, P, Z)
         X, moved = _adam_update(X, M1, M2, G, t, alpha)
-        if moved.all():
+        nmoved = np.count_nonzero(moved)
+        if nmoved == k:
             P = g.adjacency_product(X)
-        elif moved.any():
+        elif nmoved:
             P[:, moved] = g.adjacency_product(np.compress(moved, X, axis=1))
-        Znew = X > 0.0
+        elif t > 1:
+            # no iterate changed, so no support did, and every gradient
+            # is still the finite one it had
+            continue
         # a column whose support changed has moved, so P is its current
-        # product; at t = 1 an unmoved column keeps its initial one
-        changed = _differs(Znew, Z) if t > 1 else np.ones(cols.size, dtype=bool)
+        # product; at t = 1 every column is checked, and an unmoved one
+        # keeps its initial product
+        Znew = X > 0.0
+        if t == 1:
+            changed, nchanged = None, k
+        else:
+            changed = _differs(Znew, Z)
+            nchanged = np.count_nonzero(changed)
         Z = Znew
-        if changed.any():
-            ok = np.zeros(cols.size, dtype=bool)
+        if nchanged == k:
+            ok = checker.fast_mis_check_batch(g, Z, P)
+        elif nchanged:
+            ok = np.zeros(k, dtype=bool)
             ok[changed] = checker.fast_mis_check_batch(
                 g, np.compress(changed, Z, axis=1), np.compress(changed, P, axis=1)
             )
-            if ok.any():
-                for c in np.flatnonzero(ok):
-                    j = int(cols[c])
-                    found[j] = (start + j, tuple(np.flatnonzero(Z[:, c]).tolist()), t)
-                live = ~ok
-                cols = cols[live]
-                if cols.size == 0:
-                    break
-                X, M1, M2, Z, P = _keep(live, X, M1, M2, Z, P)
-                moved = moved[live]
-                if not moved.all():  # else G is formed below
-                    G = np.compress(live, G, axis=1)
+        nok = np.count_nonzero(ok) if nchanged else 0
+        if nok:
+            for c in np.flatnonzero(ok):
+                j = int(cols[c])
+                found[j] = (start + j, tuple(np.flatnonzero(Z[:, c]).tolist()), t)
+            if nok == k:
+                break
+            live = ~ok
+            cols = cols[live]
+            k -= nok
+            X, M1, M2, Z, P = _keep(live, X, M1, M2, Z, P)
+            moved = moved[live]
+            nmoved = np.count_nonzero(moved)
+            if nmoved < k:  # else G is formed below
+                G = np.compress(live, G, axis=1)
         if t == iterations:
             break
-        if moved.all():
+        if nmoved == k:
             G = gradient_from_product(p, X, P)
             finite = _finite_columns(G)
         else:
             finite = ~moved  # a kept gradient is finite: the others dropped with their columns
-            if moved.any():
+            if nmoved:
                 fresh = gradient_from_product(p, np.compress(moved, X, axis=1), np.compress(moved, P, axis=1))
                 G[:, moved] = fresh
                 finite[moved] = _finite_columns(fresh)
+        nfinite = np.count_nonzero(finite)
     return found, failures, width
 
 
@@ -312,28 +348,12 @@ def _keep(mask, *arrays):
 
 def _finite_columns(G):
     """Mask of the columns of G whose entries are all finite."""
-    return _per_column(np.logical_and, np.isfinite(G))
+    return per_column(np.logical_and, np.isfinite(G))
 
 
 def _differs(A, B):
     """Mask of the columns in which two (n, k) matrices differ."""
-    return _per_column(np.logical_or, A != B)
-
-
-def _per_column(op, D):
-    """op.reduce(D, axis=0) for a C-ordered boolean (n, k) matrix D, where
-    op is np.logical_or (any) or np.logical_and (all).
-
-    numpy reduces along axis 0 one k-wide row at a time. Folding 32 slabs
-    of rows together first runs most of the reduction over long rows:
-    about twice as fast at n = 1290, k = 32.
-    """
-    n, k = D.shape
-    head = n - n % 32
-    if k == 1 or head == 0:
-        return op.reduce(D, axis=0)
-    folded = op.reduce(op.reduce(D[:head].reshape(32, -1), axis=0).reshape(-1, k), axis=0)
-    return op(op.reduce(D[head:], axis=0), folded)
+    return per_column(np.logical_or, A != B)
 
 
 def _adam_update(X, M1, M2, G, t, alpha):
@@ -359,7 +379,7 @@ def _adam_update(X, M1, M2, G, t, alpha):
     V += EPS
     T /= V
     np.subtract(X, T, out=V)
-    np.clip(V, 0.0, 1.0, out=V)
+    V.clip(0.0, 1.0, out=V)
     return V, _differs(V, X)
 
 

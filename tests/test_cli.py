@@ -266,3 +266,10 @@ def test_bench_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("source,n,m,")
     assert main(["bench", str(tmp_path / "nope.json")]) == 2
+
+
+def test_bench_rejects_a_suite_that_is_not_utf8(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_bytes(b"\xff\xfe\x00bad")
+    assert main(["bench", str(suite)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err

@@ -187,3 +187,38 @@ def test_graphs_are_frozen(build, digest):
     graphs, so generated and parsed graphs must not drift."""
     edges = build().edge_array()
     assert hashlib.sha256(edges.tobytes()).hexdigest() == digest
+
+
+def test_dense_product_skips_the_padded_copy_only_where_it_is_the_input(monkeypatch):
+    # a C-ordered float64 block whose width is a multiple of 8 is its own
+    # padded copy, so BLAS gets it as it is and the bits are the padded
+    # path's; any other block still goes through a zero-padded copy
+    g = gen_gnm(120, 3570, 2)
+    assert g.backend == "dense"
+    A = g.adjacency()
+    operands = []
+
+    class Recording:
+        def __matmul__(self, Y):
+            operands.append(Y)
+            return A @ Y
+
+    monkeypatch.setattr(Graph, "adjacency", lambda self: Recording())
+    rng = np.random.default_rng(0)
+    for k in (8, 16, 32):
+        X = rng.random((g.n, k))
+        padded = np.zeros((g.n, k))
+        padded[:, :k] = X
+        got = g.adjacency_product(X)
+        assert operands[-1] is X
+        assert got.flags.c_contiguous and np.array_equal(got, A @ padded)
+        for j in (0, k - 1):
+            assert np.array_equal(got[:, j], g.adjacency_product(X[:, [j]])[:, 0])
+    X = rng.random((g.n, 8))
+    for Y in (X > 0.5, np.asfortranarray(X), X[:, :5].copy()):
+        got = g.adjacency_product(Y)
+        operand = operands[-1]
+        assert operand is not Y and operand.dtype == np.float64 and operand.flags.c_contiguous
+        assert operand.shape[1] % 8 == 0 and np.array_equal(operand[:, :Y.shape[1]], Y)
+        assert not operand[:, Y.shape[1]:].any()
+        assert np.array_equal(got, g.adjacency_product(np.ascontiguousarray(Y, dtype=np.float64)))

@@ -197,17 +197,76 @@ def test_kernel_skips_products_of_unmoved_columns(monkeypatch, name, g, p, width
         assert sum(seen) == live_col_iters
 
 
-@pytest.mark.parametrize("n,k", [(1, 1), (31, 5), (64, 3), (200, 1), (200, 32), (1290, 17)])
+IDLE_CASES = [c for c in KERNEL_CASES if c[0] in ("er", "dense-gnm", "width-1")]
+
+
+@pytest.mark.parametrize("name,g,p,width,iterations,alpha", IDLE_CASES, ids=[c[0] for c in IDLE_CASES])
+def test_kernel_idles_where_no_column_moves(monkeypatch, name, g, p, width, iterations, alpha):
+    # after the first iteration, one in which no column moved takes no
+    # product, tests no support and checks nothing; the events logged
+    # after an update belong to its iteration
+    log = []
+    update, product, differs = opt._adam_update, Graph.adjacency_product, opt._differs
+    check = opt.checker.fast_mis_check_batch
+
+    def updating(X, M1, M2, G, t, alpha):
+        X, moved = update(X, M1, M2, G, t, alpha)
+        log.append((t, int(np.count_nonzero(moved)), []))
+        return X, moved
+
+    def differing(A, B):
+        if A.dtype == bool:  # the update compares iterates, the kernel supports
+            log[-1][2].append("support")
+        return differs(A, B)
+
+    def producing(self, X):
+        if log:
+            log[-1][2].append("product")
+        return product(self, X)
+
+    def checking(g, Z, counts=None):
+        log[-1][2].append("check")
+        return check(g, Z, counts)
+
+    monkeypatch.setattr(opt, "_adam_update", updating)
+    monkeypatch.setattr(opt, "_differs", differing)
+    monkeypatch.setattr(Graph, "adjacency_product", producing)
+    monkeypatch.setattr(opt.checker, "fast_mis_check_batch", checking)
+    X = np.random.default_rng(width).random((g.n, width))
+    got = opt._run_block(g, p, X, 64, iterations, alpha)
+    idle = [events for t, nmoved, events in log if t > 1 and nmoved == 0]
+    busy = [events for t, nmoved, events in log if t > 1 and nmoved > 0]
+    assert idle and not any(idle)
+    assert busy and all("product" in events and "support" in events for events in busy)
+    assert got == _frozen_run_block(g, p, X, 64, iterations, alpha)
+
+
+@pytest.mark.parametrize("n,k", [
+    (1, 1), (5, 8), (31, 5), (64, 3), (200, 1), (200, 32), (383, 2), (384, 2), (1290, 17), (1290, 32),
+    *((100, k) for k in range(1, 9)),
+])
 def test_differs_matches_plain_reduction(n, k):
+    # shapes on both sides of checker.FOLD_MIN_ROWS, where per_column
+    # starts to fold
     rng = np.random.default_rng(n * k)
     A = rng.random((n, k))
+    g = Graph.from_edge_list(n, [])  # the check below reads no product of it
     for flips in (0, 1, 3):
+        # the first flip lands in the last row, past the folded slabs
+        rows = np.r_[n - 1, rng.integers(0, n, flips)][:flips]
         B = A.copy()
-        B[rng.integers(0, n, flips), rng.integers(0, k, flips)] += 1.0
+        B[rows, rng.integers(0, k, flips)] += 1.0
         assert np.array_equal(opt._differs(A, B), (A != B).any(axis=0))
         # the finiteness mask folds its reduction the same way
-        B[rng.integers(0, n, flips), rng.integers(0, k, flips)] = [np.nan, np.inf, -np.inf][:flips]
+        B[rows, rng.integers(0, k, flips)] = [np.nan, np.inf, -np.inf][:flips]
         assert np.array_equal(opt._finite_columns(B), np.isfinite(B).all(axis=0))
+        # and so does the check, on boolean and on 0/1 float supports
+        Z = A < 0.3
+        counts = np.where(Z, 0.0, A)
+        counts[rows, rng.integers(0, k, flips)] = [0.0, 2.0, 0.0][:flips]
+        want = ((counts == 0) == Z).all(axis=0)
+        for support in (Z, Z.astype(np.float64)):
+            assert np.array_equal(opt.checker.fast_mis_check_batch(g, support, counts), want)
 
 
 def complete_graph(n):
