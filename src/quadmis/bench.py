@@ -215,18 +215,26 @@ def _check_config(preset, options: dict, time_limit) -> None:
 
 
 def _parse_instance(item: dict) -> BenchInstance:
+    """One suite instance, with every value the generators would reject
+    (a negative count or seed, a p outside [0, 1] or NaN, more edges than
+    pairs) refused here, so that it exits 2 before any instance runs."""
     seed = _count(item.get("seed", 0), "seed")
     if "er" in item:
         n, p = item["er"]
         if not _is_real(p):
             raise ValueError(f"p must be a number and not a bool, got {p!r}")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {p!r}")
         return BenchInstance("er", n=_count(n, "n"), p=float(p), seed=seed)
     if "gnm" in item:
         vals = item["gnm"]
         if not isinstance(vals, list) or len(vals) not in (1, 2):
             raise ValueError("gnm takes [n] or [n, m]")
+        n = _count(vals[0], "n")
         m = _count(vals[1], "m") if len(vals) == 2 else None
-        return BenchInstance("gnm", n=_count(vals[0], "n"), m=m, seed=seed)
+        if m is not None and m > n * (n - 1) // 2:
+            raise ValueError(f"m={m} exceeds the {n * (n - 1) // 2} pairs of {n} nodes")
+        return BenchInstance("gnm", n=n, m=m, seed=seed)
     if "file" in item:
         return BenchInstance("file", path=str(item["file"]))
     raise ValueError("instance needs one of er/gnm/file")
@@ -235,6 +243,8 @@ def _parse_instance(item: dict) -> BenchInstance:
 def _count(value, name: str) -> int:
     if not _is_count(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value!r}")
     return value
 
 

@@ -11,6 +11,13 @@ fixed by its node and edge counts alone (_dense_adjacency): a dense
 float64 n x n matrix and BLAS where 8m >= n^2, which then takes no more
 words than the 8(n + m) a sparse solve may use, and a scipy CSR matrix
 otherwise. Memory scales with the edges of the input graph either way.
+
+A large CSR product visits only the rows of X that hold a nonzero entry:
+the columns of A at those rows, which are A's CSR rows since A is
+symmetric, are scattered into the result in ascending order. Clipping to
+the box leaves most of a solver block's rows at exactly 0, and a skipped
+row only adds +0.0 or -0.0 to a sum that starts at +0.0, so the product
+is the whole product bit for bit (_scatter_product).
 """
 
 from __future__ import annotations
@@ -22,6 +29,22 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InputError
+
+# A CSR product whose stored entries times columns fall below this is taken
+# whole: the scatter's set-up (finding X's nonzero rows and gathering A's
+# rows) then costs more than it saves. Over the products of two-batch solves
+# (2-core x86), those of G(400, 0.1) at 32 columns (5.1e5) took 118 ms whole
+# against 137 ms scattered, and those of a planted 3-SAT graph of 1290 nodes
+# (3.5e5) 69 against 152 ms; all those of G(700, 0.15) took 936 ms whole
+# against 596 ms with both cut-offs.
+SCATTER_MIN_WORK = 2**20
+
+# A CSR product whose X has nonzero entries in more than this share of its
+# rows is taken whole: on G(700, 0.15) and G(1000, 0.05) products with
+# 0.75-1.0 of their rows nonzero took 117 ms whole against 141 ms scattered,
+# those with 0.65-0.75 broke even, and sparser ones gained.
+SCATTER_MAX_ROW_SHARE = 0.75
+
 
 class InvalidEdge(InputError):
     """Self-loop, endpoint outside [0, n), or a graph too large for int32
@@ -191,14 +214,25 @@ class Graph:
 
         Column j of the result depends only on column j of X, bit for bit,
         whatever the width, layout or position of the block. A CSR product
-        adds each row's entries in index order. A dense one runs on a copy
+        adds each row's entries in index order. From SCATTER_MIN_WORK
+        stored entries times columns on, and where at most
+        SCATTER_MAX_ROW_SHARE of X's rows hold a nonzero entry, it visits
+        only those rows (_scatter_product): every entry still receives its
+        terms in index order, and the terms it skips are zeros that change
+        no bit. Either way each column's bits are those of the whole CSR
+        product of that column alone. A dense product runs on a copy
         of X zero-padded to a C-ordered block whose width is a multiple of
         8: unpadded, BLAS sums some widths (1-4, 9-12, ... on
         G(120, 3570)) in another order. A C-ordered float64 X whose width
         is already a multiple of 8 is that copy, so it goes to BLAS as it is.
         """
         if self.backend == "csr":
-            return self.adjacency_csr().dot(X)
+            csr = self.adjacency_csr()
+            if self.indices.size * X.shape[1] >= SCATTER_MIN_WORK:
+                rows = np.flatnonzero(X.any(axis=1))
+                if rows.size <= SCATTER_MAX_ROW_SHARE * self.n:
+                    return _scatter_product(csr, X, rows)
+            return csr.dot(X)
         n, k = X.shape
         if k % 8 == 0 and X.dtype == np.float64 and X.flags.c_contiguous:
             return self.adjacency() @ X
@@ -218,3 +252,20 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _scatter_product(csr: sparse.csr_matrix, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A·X for a symmetric CSR matrix A, visiting only the given ascending
+    rows of X, which must hold all of its nonzero entries.
+
+    A·X is the sum over j in rows of A[:, j] X[j, :], and the columns of A
+    at rows are its CSR rows there, so they go to scipy as the CSC matrix
+    csr[rows].T, whose product scatters column after column into a result
+    of +0.0s. Entry i then receives the terms x_j (a_ij = 1.0) in ascending
+    j, as the whole CSR product adds them. That product also adds the
+    skipped rows' terms, each +0.0 or -0.0. A partial sum that starts at
+    +0.0 never becomes -0.0 under round-to-nearest, and adding a zero of
+    either sign to it changes no bit (NaN and inf included), so the two
+    results are equal bit for bit.
+    """
+    return csr[rows].T.dot(X[rows])

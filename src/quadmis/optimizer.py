@@ -34,7 +34,8 @@ each is a sum of nonnegative terms, so the verdict is the one A·Z gives.
 Each column's arithmetic is the same whatever the width of the block it
 sits in, so dropping columns and skipping products change no result. That
 holds on both product backends (Graph.adjacency_product): dense products
-run on blocks zero-padded to a width that is a multiple of 8. adam_step
+run on blocks zero-padded to a width that is a multiple of 8, and a large
+CSR product skips the all-zero rows of X, which adds only zeros. adam_step
 is a width-1 call into the same update. run_resampling runs its restarts
 as blocks of the same kernel, several starts to a block, and reads them
 off in start order against its step budget; since a run's path does not

@@ -223,6 +223,25 @@ def test_setting_errors_exit_2(tmp_path, graph_file, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("instance, message", [
+    ({"gnm": [-3]}, "n must be non-negative"),
+    ({"gnm": [10, -1]}, "m must be non-negative"),
+    ({"gnm": [10], "seed": -1}, "seed must be non-negative"),
+    ({"er": [10, 1.5]}, "p must lie in [0, 1]"),
+    ({"er": [10, -0.1]}, "p must lie in [0, 1]"),
+    ({"er": [10, float("nan")]}, "p must lie in [0, 1]"),
+    ({"gnm": [10, 46]}, "m=46 exceeds the 45 pairs of 10 nodes"),
+], ids=["negative-n", "negative-m", "negative-seed", "p-above-1", "p-below-0", "p-nan", "m-above-pairs"])
+def test_bench_rejects_out_of_range_instance(tmp_path, capsys, instance, message):
+    # the bad instance comes second: the suite exits 2 before the first runs
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"instances": [{"gnm": [10]}, instance]}))
+    assert main(["bench", str(suite)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "ValueError" not in captured.err
+
+
 def test_gen_gnm_and_dimacs(tmp_path, capsys):
     out = tmp_path / "g.col"
     assert main(["gen", "gnm", "--n", "12", "--m", "20", "--format", "dimacs", "-o", str(out)]) == 0

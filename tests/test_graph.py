@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadmis.graph as graph_module
 from quadmis import Graph, InvalidEdge, NodeSet, gen_er, gen_gnm, parse_dimacs
 
 from conftest import dense_adjacency, graph_inputs
@@ -222,3 +223,99 @@ def test_dense_product_skips_the_padded_copy_only_where_it_is_the_input(monkeypa
         assert operand.shape[1] % 8 == 0 and np.array_equal(operand[:, :Y.shape[1]], Y)
         assert not operand[:, Y.shape[1]:].any()
         assert np.array_equal(got, g.adjacency_product(np.ascontiguousarray(Y, dtype=np.float64)))
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()
+
+
+@pytest.fixture
+def scattered(monkeypatch):
+    """Row counts of the products that took the scatter path."""
+    calls = []
+    scatter = graph_module._scatter_product
+
+    def spy(csr, X, rows):
+        calls.append(rows.size)
+        return scatter(csr, X, rows)
+
+    monkeypatch.setattr(graph_module, "_scatter_product", spy)
+    return calls
+
+
+def _with_isolated_nodes():
+    """G(120, 0.2) with 10 isolated nodes appended."""
+    return Graph.from_edge_list(130, gen_er(120, 0.2, 5).edge_array())
+
+
+def _half_zero_rows(rng, n, k, boolean):
+    """An (n, k) block whose even rows are random, with zeros of both signs,
+    NaN and inf among them, and whose odd rows are all +0.0, all -0.0 or a
+    mix of the two."""
+    if boolean:
+        X = rng.random((n, k)) < 0.3
+        X[1::2] = False
+        return X
+    X = rng.uniform(-1.0, 1.0, (n, k))
+    X[rng.random((n, k)) < 0.6] = 0.0
+    X[rng.random((n, k)) < 0.1] = -0.0
+    X[1::2] = 0.0
+    X[1::6] = -0.0
+    X[3::10, ::2] = -0.0
+    X[4, 0], X[8, -1], X[10, k // 2] = np.nan, np.inf, -np.inf
+    return X
+
+
+@pytest.mark.parametrize("boolean", [False, True], ids=["float", "bool"])
+@pytest.mark.parametrize("k", range(1, 34))
+def test_scatter_product_is_the_csr_product_bit_for_bit(monkeypatch, scattered, k, boolean):
+    # cut-off lowered so that every width takes the scatter path
+    monkeypatch.setattr(graph_module, "SCATTER_MIN_WORK", 0)
+    g = _with_isolated_nodes()
+    X = _half_zero_rows(np.random.default_rng(k), g.n, k, boolean)
+    got = g.adjacency_product(X)
+    assert scattered == [np.count_nonzero(X.any(axis=1))] and scattered[0] <= g.n // 2
+    assert _bits(got) == _bits(g.adjacency_csr().dot(X))
+    if not boolean:
+        assert np.isnan(got).any() and np.isinf(got).any()
+    for j in {0, k // 2, k - 1}:  # each column as a product of its own
+        assert _bits(got[:, j].copy()) == _bits(g.adjacency_product(X[:, [j]])[:, 0].copy())
+
+
+@pytest.mark.parametrize("fill", [0.0, -0.0, None], ids=["zeros", "negative-zeros", "no-zero-row"])
+@pytest.mark.parametrize("k", [0, 1, 5, 32])
+def test_scatter_product_edge_blocks(monkeypatch, scattered, fill, k):
+    monkeypatch.setattr(graph_module, "SCATTER_MIN_WORK", 0)
+    g = _with_isolated_nodes()
+    if fill is None:
+        X = np.random.default_rng(k).random((g.n, k)) + 0.5
+    else:
+        X = np.full((g.n, k), fill)
+    want = g.adjacency_csr().dot(X)
+    assert _bits(g.adjacency_product(X)) == _bits(want)
+    # a block with no zero row is taken whole; every other one is scattered
+    assert scattered == ([] if fill is None and k else [0])
+    assert _bits(graph_module._scatter_product(g.adjacency_csr(), X, np.arange(g.n))) == _bits(want)
+    if fill is not None:
+        assert not np.signbit(want).any()
+
+
+def test_scatter_cut_offs(scattered):
+    # at the shipped cut-offs a clipped 32-wide block of G(700, 0.15) is
+    # scattered; a narrow block, a block with no zero row, a sparse
+    # graph and a dense-backend graph are multiplied whole
+    rng = np.random.default_rng(0)
+    er = gen_er(700, 0.15, 1)
+    X = np.clip(rng.normal(0.0, 1.0, (er.n, 32)), 0.0, 1.0)
+    X[rng.random(er.n) < 0.5] = 0.0
+    assert _bits(er.adjacency_product(X)) == _bits(er.adjacency_csr().dot(X))
+    assert scattered == [np.count_nonzero(X.any(axis=1))]
+    assert er.indices.size * 8 < graph_module.SCATTER_MIN_WORK
+    er.adjacency_product(X[:, :8])
+    er.adjacency_product(X + 1.0)
+    sparse_graph = gen_er(1290, 0.0065, 1)
+    sparse_graph.adjacency_product(np.zeros((sparse_graph.n, 32)))
+    gnm = gen_gnm(120, 3570, 2)
+    assert gnm.backend == "dense"
+    gnm.adjacency_product(np.zeros((gnm.n, 32)))
+    assert len(scattered) == 1

@@ -99,17 +99,23 @@ KERNEL_CASES = [
     ("partial", gen_er(200, 0.1, 4), ObjectiveParams(200.0), 7, 150, 0.6),
     ("no-complement", gen_er(150, 0.1, 5), ObjectiveParams(1.5, False), opt.CHUNK, 200, 0.5),
     ("width-1", gen_gnm(100, 2475, 0), ObjectiveParams(100.0), 1, 400, 0.5),
+    # the er preset's shape: its wide products cross graph.SCATTER_MIN_WORK
+    ("er700", gen_er(700, 0.15, 6), ObjectiveParams(775.0), opt.CHUNK, 150, 0.6),
 ]
 
 
 @pytest.mark.parametrize("name,g,p,width,iterations,alpha", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
-def test_kernel_matches_full_width_reference(name, g, p, width, iterations, alpha):
+def test_kernel_matches_full_width_reference(monkeypatch, name, g, p, width, iterations, alpha):
+    scattered = []  # widths of the products that skip X's zero rows
+    monkeypatch.setattr(graph_module, "_scatter_product", _counting(graph_module._scatter_product, scattered))
     X = np.random.default_rng(width).random((g.n, width))
     before = X.copy()
     got = opt._run_block(g, p, X, 64, iterations, alpha)
     assert np.array_equal(X, before)  # input untouched
     assert got == _frozen_run_block(g, p, X, 64, iterations, alpha)
     assert any(item is not None for item in got[0])
+    if name == "er700":
+        assert scattered
 
 
 @pytest.mark.parametrize("keep", [True, False], ids=["counts", "products"])
