@@ -12,10 +12,16 @@ class InvalidEdgeCount(InputError):
     """Requested more edges than the node count allows."""
 
 
-def gen_er(n: int, p: float, seed: int) -> Graph:
-    """G(n, p): every unordered pair kept independently with probability p."""
+def _check_size_and_seed(n: int, seed: int) -> None:
     if n < 0:
         raise InputError(f"n must be non-negative, got {n}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
+
+
+def gen_er(n: int, p: float, seed: int) -> Graph:
+    """G(n, p): every unordered pair kept independently with probability p."""
+    _check_size_and_seed(n, seed)
     if not 0.0 <= p <= 1.0:
         raise InputError("p must lie in [0, 1]")
     rng = np.random.default_rng(seed)
@@ -35,8 +41,7 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
     Samples m distinct pair ranks without replacement and decodes each
     rank to its (u, v) position in the row-major upper triangle.
     """
-    if n < 0:
-        raise InputError(f"n must be non-negative, got {n}")
+    _check_size_and_seed(n, seed)
     total = n * (n - 1) // 2
     if m < 0 or m > total:
         raise InvalidEdgeCount(f"m={m} outside [0, {total}] for n={n}")

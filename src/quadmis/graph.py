@@ -18,6 +18,16 @@ symmetric, are scattered into the result in ascending order. Clipping to
 the box leaves most of a solver block's rows at exactly 0, and a skipped
 row only adds +0.0 or -0.0 to a sum that starts at +0.0, so the product
 is the whole product bit for bit (_scatter_product).
+
+Both CSR products call scipy's compiled loops in scipy.sparse._sparsetools
+directly: csr_matvecs for the whole product, csr_row_index to gather the
+rows a scatter visits and csc_matvecs to scatter them. These are the loops
+csr.dot(X) and csr[rows].T.dot(X[rows]) reach, given the same operands in
+the same order, so the bits are theirs (at width 1 scipy takes its
+one-column loops, which add the same terms in the same order). The
+products skip only the building, checking and Python dispatch of sparse
+matrix objects around those loops. All three exist with these signatures
+throughout the declared scipy>=1.10.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .errors import InputError
 
@@ -175,7 +186,7 @@ class Graph:
 
     def edge_array(self) -> np.ndarray:
         """(m, 2) array of edges with u < v, lexicographically sorted."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         keep = src < self.indices
         return np.stack([src[keep], self.indices[keep].astype(np.int64)], axis=1)
 
@@ -196,14 +207,15 @@ class Graph:
     def adjacency(self) -> np.ndarray | sparse.csr_matrix:
         """The operator adjacency_product multiplies by, cached after first
         use: a float64 n x n array on the dense backend, else
-        adjacency_csr(). The dense matrix is filled row by row straight
-        from indptr and indices, so no CSR float data is made for it."""
+        adjacency_csr(). The dense matrix is filled in one assignment
+        straight from indptr and indices, so no CSR float data is made for
+        it."""
         if self.backend == "csr":
             return self.adjacency_csr()
         if self._dense is None:
             dense = np.zeros((self.n, self.n))
-            for v in range(self.n):
-                dense[v, self.neighbors(v)] = 1.0
+            # int32 row ids: the one temporary takes m 8-byte words beside the n^2
+            dense[np.repeat(np.arange(self.n, dtype=np.int32), self.degrees), self.indices] = 1.0
             dense.setflags(write=False)
             self._dense = dense
         return self._dense
@@ -214,7 +226,13 @@ class Graph:
 
         Column j of the result depends only on column j of X, bit for bit,
         whatever the width, layout or position of the block. A CSR product
-        adds each row's entries in index order. From SCATTER_MIN_WORK
+        adds each row's entries in index order into a zeroed result:
+        scipy's compiled _sparsetools.csr_matvecs (in every scipy>=1.10),
+        given the operands that csr.dot(X) gives it, X among them as
+        X.ravel() (a C-ordered copy where X is not one already), which the
+        loop casts to float64. So the bits are csr.dot's; at width 1
+        csr.dot calls csr_matvec, which adds the same terms in the same
+        order. From SCATTER_MIN_WORK
         stored entries times columns on, and where at most
         SCATTER_MAX_ROW_SHARE of X's rows hold a nonzero entry, it visits
         only those rows (_scatter_product): every entry still receives its
@@ -226,14 +244,18 @@ class Graph:
         G(120, 3570)) in another order. A C-ordered float64 X whose width
         is already a multiple of 8 is that copy, so it goes to BLAS as it is.
         """
+        n, k = X.shape
+        if n != self.n:  # the compiled loops read X at every node's row
+            raise ValueError(f"X has {n} rows for a graph of {self.n} nodes")
         if self.backend == "csr":
             csr = self.adjacency_csr()
-            if self.indices.size * X.shape[1] >= SCATTER_MIN_WORK:
+            if self.indices.size * k >= SCATTER_MIN_WORK:
                 rows = np.flatnonzero(X.any(axis=1))
-                if rows.size <= SCATTER_MAX_ROW_SHARE * self.n:
+                if rows.size <= SCATTER_MAX_ROW_SHARE * n:
                     return _scatter_product(csr, X, rows)
-            return csr.dot(X)
-        n, k = X.shape
+            product = np.zeros((n, k))
+            _sparsetools.csr_matvecs(n, n, k, csr.indptr, csr.indices, csr.data, X.ravel(), product.ravel())
+            return product
         if k % 8 == 0 and X.dtype == np.float64 and X.flags.c_contiguous:
             return self.adjacency() @ X
         padded = np.zeros((n, -(-k // 8) * 8))
@@ -259,13 +281,27 @@ def _scatter_product(csr: sparse.csr_matrix, X: np.ndarray, rows: np.ndarray) ->
     rows of X, which must hold all of its nonzero entries.
 
     A·X is the sum over j in rows of A[:, j] X[j, :], and the columns of A
-    at rows are its CSR rows there, so they go to scipy as the CSC matrix
-    csr[rows].T, whose product scatters column after column into a result
-    of +0.0s. Entry i then receives the terms x_j (a_ij = 1.0) in ascending
-    j, as the whole CSR product adds them. That product also adds the
-    skipped rows' terms, each +0.0 or -0.0. A partial sum that starts at
-    +0.0 never becomes -0.0 under round-to-nearest, and adding a zero of
-    either sign to it changes no bit (NaN and inf included), so the two
-    results are equal bit for bit.
+    at rows are its CSR rows there. Two of scipy's compiled loops, both in
+    every scipy>=1.10, take the product. _sparsetools.csr_row_index gathers
+    those rows' index lists and data, and their row pointer is the running
+    sum of their lengths: the arrays of csr[rows], built by scipy's own
+    loop. _sparsetools.csc_matvecs then reads them as the CSC matrix
+    csr[rows].T and scatters its columns one after another into a result
+    of +0.0s, as csr[rows].T.dot(X[rows]) does. Entry i then receives the
+    terms x_j (a_ij = 1.0) in ascending j, as the whole CSR product adds
+    them. That product also adds the skipped rows' terms, each +0.0 or
+    -0.0. A partial sum that starts at +0.0 never becomes -0.0 under
+    round-to-nearest, and adding a zero of either sign to it changes no
+    bit (NaN and inf included), so the two results are equal bit for bit.
     """
-    return csr[rows].T.dot(X[rows])
+    n, k = X.shape
+    index = csr.indices.dtype
+    rows = rows.astype(index, copy=False)
+    indptr = np.zeros(rows.size + 1, dtype=index)
+    np.cumsum(csr.indptr[rows + 1] - csr.indptr[rows], out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=index)
+    data = np.empty(indptr[-1])
+    _sparsetools.csr_row_index(rows.size, rows, csr.indptr, csr.indices, csr.data, indices, data)
+    product = np.zeros((n, k))
+    _sparsetools.csc_matvecs(n, rows.size, k, indptr, indices, data, X[rows].ravel(), product.ravel())
+    return product

@@ -251,6 +251,18 @@ def test_gen_gnm_and_dimacs(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "er", "--n", "5", "--p", "0.1", "--seed", "-1"],
+    ["gen", "gnm", "--n", "5", "--m", "3", "--seed", "-4"],
+], ids=["er", "gnm"])
+def test_gen_rejects_negative_seed(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: seed must be non-negative, got {argv[-1]}" in captured.err
+    assert "ValueError" not in captured.err
+
+
 def test_oracle_command(graph_file, capsys):
     assert main(["oracle", graph_file, "--enumerate"]) == 0
     doc = json.loads(capsys.readouterr().out)

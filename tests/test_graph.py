@@ -113,6 +113,14 @@ def test_adjacency_csr(fig1):
     assert fig1.adjacency_csr() is a
 
 
+@pytest.mark.parametrize("g", [gen_gnm(120, 3570, 2), Graph.from_edge_list(2, [(0, 1)])], ids=["gnm120", "one-edge"])
+def test_dense_adjacency_is_the_csr_matrix(g):
+    assert g.backend == "dense"
+    A = g.adjacency()
+    assert A.dtype == np.float64 and A.flags.c_contiguous and not A.flags.writeable
+    assert np.array_equal(A, g.adjacency_csr().toarray())
+
+
 def test_ndarray_input():
     edges = np.array([[0, 1], [2, 3]])
     g = Graph.from_edge_list(4, edges)
@@ -298,6 +306,40 @@ def test_scatter_product_edge_blocks(monkeypatch, scattered, fill, k):
     assert _bits(graph_module._scatter_product(g.adjacency_csr(), X, np.arange(g.n))) == _bits(want)
     if fill is not None:
         assert not np.signbit(want).any()
+
+
+@pytest.mark.parametrize("graph", ["isolated", "empty"])
+def test_whole_csr_product_is_csr_dot_bit_for_bit(scattered, graph):
+    # the blocks a whole CSR product must take as csr.dot does: float64 in
+    # C and F order, a non-contiguous column slice, width 1, bool, float32
+    # and int64 blocks, and width 0
+    g = _with_isolated_nodes() if graph == "isolated" else Graph.from_edge_list(0, [])
+    assert g.backend == "csr"
+    X = _half_zero_rows(np.random.default_rng(7), g.n, 9, boolean=False) if g.n else np.zeros((0, 9))
+    blocks = {
+        "c-order": X,
+        "f-order": np.asfortranarray(X),
+        "column-slice": X[:, 2:7],
+        "width-1": X[:, [3]],
+        "bool": X > 0.2,
+        "float32": (X * 3.3).astype(np.float32),
+        "int64": np.nan_to_num(X * 1e6, posinf=7, neginf=-7).astype(np.int64),
+        "width-0": X[:, :0],
+    }
+    if g.n:  # an empty block counts as contiguous
+        assert not blocks["column-slice"].flags.c_contiguous and not blocks["column-slice"].flags.f_contiguous
+    for name, Y in blocks.items():
+        before = Y.copy()
+        assert _bits(g.adjacency_product(Y)) == _bits(g.adjacency_csr().dot(Y)), name
+        assert np.array_equal(Y, before, equal_nan=Y.dtype.kind == "f"), name
+    assert scattered == []
+
+
+@pytest.mark.parametrize("g", [gen_er(60, 0.1, 1), gen_gnm(30, 200, 5)], ids=["csr", "dense"])
+def test_adjacency_product_rejects_a_block_of_other_height(g):
+    for rows in (g.n - 1, g.n + 1, 0):
+        with pytest.raises(ValueError, match="rows for a graph of"):
+            g.adjacency_product(np.ones((rows, 3)))
 
 
 def test_scatter_cut_offs(scattered):

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import quadmis.graph as graph_module
 import quadmis.optimizer as opt
@@ -150,6 +151,31 @@ def test_csr_backend_on_dense_graph_matches_reference(monkeypatch):
     got = opt._run_block(g, p, X, 64, 350, 0.5)
     assert got == _frozen_run_block(g, p, X, 64, 350, 0.5)
     assert any(item is not None for item in got[0])
+
+
+def test_csr_kernel_builds_no_sparse_matrix(monkeypatch):
+    # the CSR products call scipy's compiled loops directly: a block on
+    # the er preset's shape, scattered products included, neither
+    # multiplies, indexes nor transposes a scipy sparse matrix
+    name, g, p, width, iterations, alpha = KERNEL_CASES[-1]
+    assert name == "er700" and g.backend == "csr"
+    X = np.random.default_rng(width).random((g.n, width))
+    want = _frozen_run_block(g, p, X, 64, iterations, alpha)
+    g.adjacency_csr()
+    scattered = []
+    monkeypatch.setattr(graph_module, "_scatter_product", _counting(graph_module._scatter_product, scattered))
+    called = []
+    for cls in (sparse.csr_matrix, sparse.csc_matrix):
+        for method in ("dot", "__getitem__", "transpose"):
+            def spy(self, *args, _method=getattr(cls, method), _name=f"{cls.__name__}.{method}", **kwargs):
+                called.append(_name)
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, spy)
+    got = opt._run_block(g, p, X, 64, iterations, alpha)
+    assert called == []
+    assert scattered
+    assert got == want
 
 
 def test_dense_backend_rule():
