@@ -5,8 +5,11 @@ Two independent routes:
 * fast_mis_check reads the definition off the neighbour counts c = A z: a
   binary z is a maximal independent set iff its members are exactly the
   nodes with no neighbour in it, (c == 0) == z. One adjacency product
-  total, none when the caller already holds a product with the zero
-  pattern of the counts (the solver passes its kept product A X).
+  total, in float64 (Graph.adjacency_product), and none when the caller
+  already holds a product with the zero pattern of the counts: the solver
+  passes its kept product A X, which is float32 like the rest of its
+  kernel. Only the zero pattern is read, so the verdict is the same in
+  either type.
 * direct_mis_check walks the neighbourhoods of the set's members
   (Graph.is_maximal_independent), the plain reference.
 
@@ -56,13 +59,15 @@ def fast_mis_check_batch(g: Graph, Z: np.ndarray, counts: np.ndarray | None = No
     Z is boolean or 0/1 floats. counts, when given, is any nonnegative
     (n, k) matrix with the zero pattern of the product A Z, and the check
     then computes no product: it reads only which entries are zero. The
-    solver passes its kept product A X, where Z = X > 0 and X >= 0. Entry
-    (v, j) of A X is the sum of the terms a_vu x_uj >= 0 with a_vu in
-    {0, 1}, which is 0.0 exactly when every term is, in any order of
-    summation and with or without fused multiply-adds; and a term is 0
-    exactly when a_vu z_uj is. So the verdict is the one A Z gives, bit
-    for bit, on either product backend. The mask (counts == 0) == Z is
-    reduced to one verdict per column with per_column.
+    solver passes its kept float32 product A X, where Z = X > 0 and
+    X >= 0. Entry (v, j) of A X is the sum of the terms a_vu x_uj >= 0
+    with a_vu in {0, 1}; each term 1.0 * x_uj is exact, subnormal x_uj
+    included, so the sum is 0.0 exactly when every term is, in any
+    precision, in any order of summation and with or without fused
+    multiply-adds; and a term is 0 exactly when a_vu z_uj is. So the
+    verdict is the one A Z gives, bit for bit, on either product backend.
+    The mask (counts == 0) == Z is reduced to one verdict per column with
+    per_column.
     """
     if counts is None:
         counts = g.adjacency_product(Z)

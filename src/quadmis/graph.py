@@ -6,11 +6,18 @@ keys u * n + v, so a graph has fewer than 2^31 nodes.
 The complement graph is never materialized anywhere in this package.
 Everything the solver needs from it follows from sum identities (see
 objective.py), so it needs only products A·X with the input graph's
-adjacency matrix. A graph takes those products on one of two backends,
-fixed by its node and edge counts alone (_dense_adjacency): a dense
-float64 n x n matrix and BLAS where 8m >= n^2, which then takes no more
-words than the 8(n + m) a sparse solve may use, and a scipy CSR matrix
-otherwise. Memory scales with the edges of the input graph either way.
+adjacency matrix, in one of two floating types.
+
+The solver kernel (optimizer._run_block) works in KERNEL_DTYPE, float32,
+which halves the bytes of every product against float64. Its products
+(kernel_product) run on one of two backends, fixed by the graph's node
+and edge counts alone (_dense_adjacency): a dense float32 n x n matrix
+and BLAS where 8m >= n^2, which then takes no more words than the
+8(n + m) a sparse solve may use, and scipy's CSR loops otherwise. Memory
+scales with the edges of the input graph either way. The checks of the
+mathematics (objective.evaluate and gradient, and the fast check where it
+takes its own product) stay float64: adjacency_product runs the CSR loops
+on either backend, with the bits of csr.dot.
 
 A large CSR product visits only the rows of X that hold a nonzero entry:
 the columns of A at those rows, which are A's CSR rows since A is
@@ -20,14 +27,14 @@ row only adds +0.0 or -0.0 to a sum that starts at +0.0, so the product
 is the whole product bit for bit (_scatter_product).
 
 Both CSR products call scipy's compiled loops in scipy.sparse._sparsetools
-directly: csr_matvecs for the whole product, csr_row_index to gather the
+directly, on indptr, indices and a cached array of ones in the product's
+dtype: csr_matvecs for the whole product, csr_row_index to gather the
 rows a scatter visits and csc_matvecs to scatter them. These are the loops
 csr.dot(X) and csr[rows].T.dot(X[rows]) reach, given the same operands in
 the same order, so the bits are theirs (at width 1 scipy takes its
-one-column loops, which add the same terms in the same order). The
-products skip only the building, checking and Python dispatch of sparse
-matrix objects around those loops. All three exist with these signatures
-throughout the declared scipy>=1.10.
+one-column loops, which add the same terms in the same order). No product
+builds a sparse matrix object. All three loops exist with these
+signatures throughout the declared scipy>=1.10.
 """
 
 from __future__ import annotations
@@ -55,6 +62,19 @@ SCATTER_MIN_WORK = 2**20
 # 0.75-1.0 of their rows nonzero took 117 ms whole against 141 ms scattered,
 # those with 0.65-0.75 broke even, and sparser ones gained.
 SCATTER_MAX_ROW_SHARE = 0.75
+
+# The solver kernel's floating type. Its certificate is exact in it: the
+# check reads only the zero pattern of A·X with X >= 0, and a sum of the
+# terms 1.0 * x >= 0 is 0 only when every term is, in any precision.
+KERNEL_DTYPE = np.float32
+
+# Dense kernel products run on blocks zero-padded to a multiple of this
+# width. Unpadded, or padded to a multiple of 8, OpenBLAS's sgemm sums a
+# column in an order that depends on the block's width and the column's
+# place in it (G(50, 600), G(120, 3570) and G(333, 27000), 2-core x86);
+# padded to 16 every column of widths 1-96 had the bits of its width-1
+# product there and on G(800, 159800).
+DENSE_PAD = 16
 
 
 class InvalidEdge(InputError):
@@ -92,12 +112,13 @@ class NodeSet:
 
 
 def _dense_adjacency(n: int, m: int) -> bool:
-    """Whether a graph with n nodes and m edges takes its adjacency
-    products as dense BLAS products: where 8m >= n^2 (and n > 0).
+    """Whether a graph with n nodes and m edges takes its kernel products
+    as dense BLAS products: where 8m >= n^2 (and n > 0).
 
-    There the n^2 words of the dense matrix fit in the 8(n + m) words a
-    solve may use, and on G(800, 159800) one product of 32 columns took
-    1.5 ms on one BLAS thread against 5.1 ms as a CSR product (2-core x86).
+    There the n^2 float32 entries of the dense matrix fit in the 8(n + m)
+    words a solve may use, and on G(800, 159800) one float32 product of 32
+    columns took 0.5 ms on one BLAS thread against 2.0 ms as a CSR product
+    (2-core x86).
     """
     return n > 0 and 8 * m >= n * n
 
@@ -106,12 +127,13 @@ class Graph:
     """Undirected simple graph on nodes 0..n-1 with sorted CSR adjacency.
 
     Instances are immutable after construction. backend, "dense" or
-    "csr", names the operator adjacency_product multiplies by; it is set
-    once, from n and m. The operator is built lazily on first use and
-    cached; solve() builds it before its workers fork, so they share it.
+    "csr", names the operator kernel_product multiplies by; it is set
+    once, from n and m. The operator (adjacency()) is built lazily on
+    first use and cached; solve() builds it before its workers fork, so
+    they share it.
     """
 
-    __slots__ = ("n", "m", "indptr", "indices", "degrees", "max_degree", "backend", "_csr", "_dense")
+    __slots__ = ("n", "m", "indptr", "indices", "degrees", "max_degree", "backend", "_csr", "_dense", "_values")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = int(n)
@@ -125,6 +147,7 @@ class Graph:
         self.backend = "dense" if _dense_adjacency(self.n, self.m) else "csr"
         self._csr = None
         self._dense = None
+        self._values: dict = {}
 
     @classmethod
     def from_edge_list(cls, n: int, edges) -> "Graph":
@@ -193,8 +216,7 @@ class Graph:
     def adjacency_csr(self) -> sparse.csr_matrix:
         """Adjacency matrix as float64 scipy CSR, cached after first use.
 
-        The products take adjacency(), which is this matrix only on the CSR
-        backend; a dense graph builds it only when asked."""
+        For callers: no product builds or reads it."""
         if self._csr is None:
             data = np.ones(self.indices.size, dtype=np.float64)
             csr = sparse.csr_matrix(
@@ -204,64 +226,91 @@ class Graph:
             self._csr = csr
         return self._csr
 
-    def adjacency(self) -> np.ndarray | sparse.csr_matrix:
-        """The operator adjacency_product multiplies by, cached after first
-        use: a float64 n x n array on the dense backend, else
-        adjacency_csr(). The dense matrix is filled in one assignment
-        straight from indptr and indices, so no CSR float data is made for
-        it."""
+    def adjacency(self) -> np.ndarray:
+        """The solver kernel's operator in KERNEL_DTYPE, cached after first
+        use: the dense n x n matrix on the dense backend, else the stored
+        values (all ones) of the CSR matrix that indptr and indices lay
+        out. The dense matrix is filled in one assignment straight from
+        indptr and indices."""
         if self.backend == "csr":
-            return self.adjacency_csr()
+            return self._ones(KERNEL_DTYPE)
         if self._dense is None:
-            dense = np.zeros((self.n, self.n))
-            # int32 row ids: the one temporary takes m 8-byte words beside the n^2
+            dense = np.zeros((self.n, self.n), dtype=KERNEL_DTYPE)
+            # int32 row ids: the one temporary takes m 8-byte words beside the n^2/2
             dense[np.repeat(np.arange(self.n, dtype=np.int32), self.degrees), self.indices] = 1.0
             dense.setflags(write=False)
             self._dense = dense
         return self._dense
 
+    def _ones(self, dtype) -> np.ndarray:
+        """The stored values of the CSR matrix, all 1, in dtype; read-only
+        and cached per dtype."""
+        ones = self._values.get(dtype)
+        if ones is None:
+            ones = np.ones(self.indices.size, dtype=dtype)
+            ones.setflags(write=False)
+            self._values[dtype] = ones
+        return ones
+
     def adjacency_product(self, X: np.ndarray) -> np.ndarray:
         """A·X for an (n, k) matrix X of floats or booleans, as a new
-        C-ordered float64 array.
+        C-ordered float64 array: the product of the checks of the
+        mathematics (objective.evaluate and gradient, and the fast check
+        when it is given no product). It runs the CSR loops on either
+        backend (_csr_product), so its bits are csr.dot's: scipy's compiled
+        _sparsetools.csr_matvecs (in every scipy>=1.10) is given the
+        operands that adjacency_csr().dot(X) gives it, X among them as
+        X.ravel() (a C-ordered copy where X is not one already), which the
+        loop casts to float64. At width 1 csr.dot calls csr_matvec, which
+        adds the same terms in the same order.
+        """
+        _require_height(self, X)
+        return self._csr_product(X, self._ones(np.float64))
+
+    def kernel_product(self, X: np.ndarray) -> np.ndarray:
+        """A·X for an (n, k) matrix X, cast to KERNEL_DTYPE, as a new
+        C-ordered KERNEL_DTYPE array on the graph's backend: the solver
+        kernel's product.
 
         Column j of the result depends only on column j of X, bit for bit,
         whatever the width, layout or position of the block. A CSR product
-        adds each row's entries in index order into a zeroed result:
-        scipy's compiled _sparsetools.csr_matvecs (in every scipy>=1.10),
-        given the operands that csr.dot(X) gives it, X among them as
-        X.ravel() (a C-ordered copy where X is not one already), which the
-        loop casts to float64. So the bits are csr.dot's; at width 1
-        csr.dot calls csr_matvec, which adds the same terms in the same
-        order. From SCATTER_MIN_WORK
-        stored entries times columns on, and where at most
-        SCATTER_MAX_ROW_SHARE of X's rows hold a nonzero entry, it visits
-        only those rows (_scatter_product): every entry still receives its
-        terms in index order, and the terms it skips are zeros that change
-        no bit. Either way each column's bits are those of the whole CSR
-        product of that column alone. A dense product runs on a copy
-        of X zero-padded to a C-ordered block whose width is a multiple of
-        8: unpadded, BLAS sums some widths (1-4, 9-12, ... on
-        G(120, 3570)) in another order. A C-ordered float64 X whose width
-        is already a multiple of 8 is that copy, so it goes to BLAS as it is.
+        is _csr_product's with the values adjacency() holds. A dense
+        product runs on a copy of X zero-padded to a C-ordered block whose
+        width is a multiple of DENSE_PAD. A C-ordered KERNEL_DTYPE X whose
+        width is already a multiple of DENSE_PAD is that copy, so it goes
+        to BLAS as it is.
         """
-        n, k = X.shape
-        if n != self.n:  # the compiled loops read X at every node's row
-            raise ValueError(f"X has {n} rows for a graph of {self.n} nodes")
+        n, k = _require_height(self, X)
         if self.backend == "csr":
-            csr = self.adjacency_csr()
-            if self.indices.size * k >= SCATTER_MIN_WORK:
-                rows = np.flatnonzero(X.any(axis=1))
-                if rows.size <= SCATTER_MAX_ROW_SHARE * n:
-                    return _scatter_product(csr, X, rows)
-            product = np.zeros((n, k))
-            _sparsetools.csr_matvecs(n, n, k, csr.indptr, csr.indices, csr.data, X.ravel(), product.ravel())
-            return product
-        if k % 8 == 0 and X.dtype == np.float64 and X.flags.c_contiguous:
+            return self._csr_product(X.astype(KERNEL_DTYPE, copy=False), self.adjacency())
+        if k % DENSE_PAD == 0 and X.dtype == KERNEL_DTYPE and X.flags.c_contiguous:
             return self.adjacency() @ X
-        padded = np.zeros((n, -(-k // 8) * 8))
+        padded = np.zeros((n, -(-k // DENSE_PAD) * DENSE_PAD), dtype=KERNEL_DTYPE)
         padded[:, :k] = X
         product = self.adjacency() @ padded
         return product if product.shape[1] == k else np.ascontiguousarray(product[:, :k])
+
+    def _csr_product(self, X: np.ndarray, ones: np.ndarray) -> np.ndarray:
+        """A·X in the dtype of ones, the stored values of the CSR matrix,
+        by scipy's compiled loops, which cast X to that dtype (a float64 X
+        does not cast to float32).
+
+        Each row's entries are added in index order into a zeroed result,
+        so each column's bits are those of the product of that column
+        alone. From SCATTER_MIN_WORK stored entries times columns on, and
+        where at most SCATTER_MAX_ROW_SHARE of X's rows hold a nonzero
+        entry, the product visits only those rows (_scatter_product):
+        every entry still receives its terms in index order, and the terms
+        it skips are zeros that change no bit.
+        """
+        n, k = X.shape
+        if self.indices.size * k >= SCATTER_MIN_WORK:
+            rows = np.flatnonzero(X.any(axis=1))
+            if rows.size <= SCATTER_MAX_ROW_SHARE * n:
+                return _scatter_product(self.indptr, self.indices, ones, X, rows)
+        product = np.zeros((n, k), dtype=ones.dtype)
+        _sparsetools.csr_matvecs(n, n, k, self.indptr, self.indices, ones, X.ravel(), product.ravel())
+        return product
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -276,9 +325,19 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _scatter_product(csr: sparse.csr_matrix, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """A·X for a symmetric CSR matrix A, visiting only the given ascending
-    rows of X, which must hold all of its nonzero entries.
+def _require_height(g: Graph, X: np.ndarray) -> tuple[int, int]:
+    """The shape of X, which must have a row for every node of g: the
+    compiled loops read X at every node's row."""
+    n, k = X.shape
+    if n != g.n:
+        raise ValueError(f"X has {n} rows for a graph of {g.n} nodes")
+    return n, k
+
+
+def _scatter_product(indptr, indices, data, X, rows):
+    """A·X for the symmetric CSR matrix A that indptr, indices and data
+    lay out, visiting only the given ascending rows of X, which must hold
+    all of its nonzero entries. The result has the dtype of data.
 
     A·X is the sum over j in rows of A[:, j] X[j, :], and the columns of A
     at rows are its CSR rows there. Two of scipy's compiled loops, both in
@@ -295,13 +354,12 @@ def _scatter_product(csr: sparse.csr_matrix, X: np.ndarray, rows: np.ndarray) ->
     bit (NaN and inf included), so the two results are equal bit for bit.
     """
     n, k = X.shape
-    index = csr.indices.dtype
-    rows = rows.astype(index, copy=False)
-    indptr = np.zeros(rows.size + 1, dtype=index)
-    np.cumsum(csr.indptr[rows + 1] - csr.indptr[rows], out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=index)
-    data = np.empty(indptr[-1])
-    _sparsetools.csr_row_index(rows.size, rows, csr.indptr, csr.indices, csr.data, indices, data)
-    product = np.zeros((n, k))
-    _sparsetools.csc_matvecs(n, rows.size, k, indptr, indices, data, X[rows].ravel(), product.ravel())
+    rows = rows.astype(indices.dtype, copy=False)
+    sub_indptr = np.zeros(rows.size + 1, dtype=indices.dtype)
+    np.cumsum(indptr[rows + 1] - indptr[rows], out=sub_indptr[1:])
+    sub_indices = np.empty(sub_indptr[-1], dtype=indices.dtype)
+    sub_data = np.empty(sub_indptr[-1], dtype=data.dtype)
+    _sparsetools.csr_row_index(rows.size, rows, indptr, indices, data, sub_indices, sub_data)
+    product = np.zeros((n, k), dtype=data.dtype)
+    _sparsetools.csc_matvecs(n, rows.size, k, sub_indptr, sub_indices, sub_data, X[rows].ravel(), product.ravel())
     return product

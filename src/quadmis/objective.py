@@ -12,9 +12,12 @@ complement. The complement term is always expanded through
 so evaluation and gradients cost one adjacency product plus vector
 reductions and no complement structure ever exists. The expansion is the
 contract, not an optimization; a materialized-complement reference lives
-only in the test suite. The product is Graph.adjacency_product: a dense
-BLAS product on graphs with 8m >= n^2, a CSR product otherwise, each
-width-invariant bit for bit.
+only in the test suite. evaluate and gradient work in float64, with the
+product Graph.adjacency_product, which runs scipy's CSR loops on every
+graph. The solver kernel forms its float32 gradients with
+gradient_from_product from its own product (Graph.kernel_product: dense
+BLAS on graphs with 8m >= n^2, CSR otherwise). Each is width-invariant
+bit for bit.
 """
 
 from __future__ import annotations
@@ -65,12 +68,7 @@ def _as_assignment(g: Graph, x) -> np.ndarray:
 
 
 def evaluate(g: Graph, p: ObjectiveParams, x) -> float:
-    """Objective value at x; one adjacency product.
-
-    The product takes the caller's BLAS thread count (solve and
-    run_resampling pin it to one); on large dense graphs its last bits
-    depend on that count, by up to 1.1e-13 on G(2000, 999500).
-    """
+    """Objective value at x; one float64 adjacency product."""
     x = _as_assignment(g, x)
     ax = g.adjacency_product(x[:, None])[:, 0]
     quad = float(x @ ax)
@@ -98,10 +96,7 @@ def gradient_columns(g: Graph, p: ObjectiveParams, X: np.ndarray) -> np.ndarray:
 
     Column j of the result depends only on column j of X, bit for bit: the
     same column gives the same gradient in a block of any width or layout.
-    The batched form exists so the solver can amortize the product.
-    Outside solve and run_resampling, which pin BLAS to one thread, the
-    product takes the caller's BLAS thread count, and on large dense
-    graphs its last bits depend on it: by up to 1.1e-13 on G(2000, 999500).
+    The product is float64 (Graph.adjacency_product).
     """
     if X.ndim != 2 or X.shape[0] != g.n:
         raise DimensionError(f"expected (n, k) matrix with n={g.n}, got {X.shape}")
@@ -111,9 +106,10 @@ def gradient_columns(g: Graph, p: ObjectiveParams, X: np.ndarray) -> np.ndarray:
 def gradient_from_product(p: ObjectiveParams, X: np.ndarray, P: np.ndarray) -> np.ndarray:
     """The gradient of the columns of X, given their product P = A·X.
 
-    The one copy of the gradient formula; returns a new array and leaves
-    X and P unchanged, so the solver kernel can keep P. Column j of the
-    result depends only on column j of X and of P, bit for bit.
+    The one copy of the gradient formula; returns a new array in the
+    dtype of X and P (float32 in the solver kernel) and leaves X and P
+    unchanged, so the kernel can keep P. Column j of the result depends
+    only on column j of X and of P, bit for bit.
     """
     # (gamma + 1) A X - sum(X) + X - 1, evaluated left to right
     if p.complement_term_enabled:

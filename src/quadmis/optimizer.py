@@ -16,6 +16,14 @@ BLAS thread count: on G(2000, 999500) a dense product on two threads
 differed from the one-thread product in its last bits. run_resampling()
 pins BLAS the same way.
 
+The kernel works in KERNEL_DTYPE, float32 (graph.py): a block's starts
+are drawn in float64 and cast once, when the block starts, and its
+iterate, moments, products and gradients stay float32, which halves the
+bytes of every product and every Adam update. The certificate is exact
+in float32 all the same, since the check reads only the zero pattern of
+the kernel's product (below). adam_step, like objective.evaluate and
+gradient, works in float64.
+
 Inside a block the kernel works on live columns only. A column that has
 certified or gone non-finite is dropped, and only columns whose
 thresholded support changed since the last check are checked again: an
@@ -33,14 +41,15 @@ an entry of A·X is zero exactly where the same entry of A·Z is, since
 each is a sum of nonnegative terms, so the verdict is the one A·Z gives.
 Each column's arithmetic is the same whatever the width of the block it
 sits in, so dropping columns and skipping products change no result. That
-holds on both product backends (Graph.adjacency_product): dense products
-run on blocks zero-padded to a width that is a multiple of 8, and a large
-CSR product skips the all-zero rows of X, which adds only zeros. adam_step
-is a width-1 call into the same update. run_resampling runs its restarts
-as blocks of the same kernel, several starts to a block, and reads them
-off in start order against its step budget; since a run's path does not
-depend on the block it sits in or on its budget, only on where it is
-cut off, the width of those blocks changes no result either.
+holds on both product backends (Graph.kernel_product): dense products
+run on blocks zero-padded to a width that is a multiple of 16
+(graph.DENSE_PAD), and a large CSR product skips the all-zero rows of X,
+which adds only zeros. adam_step is a width-1 call into the same update,
+in float64. run_resampling runs its restarts as blocks of the same
+kernel, several starts to a block, and reads them off in start order
+against its step budget; since a run's path does not depend on the block
+it sits in or on its budget, only on where it is cut off, the width of
+those blocks changes no result either.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ from . import checker
 from .checker import per_column
 from .checker import fast_mis_check, fast_mis_check_batch  # noqa: F401  (perfbench/tracer.py wraps these names)
 from .errors import InputError
-from .graph import Graph, NodeSet
+from .graph import KERNEL_DTYPE, Graph, NodeSet
 from .initialization import SCHEMES, initial_mean, sample_around, sample_block
 from .objective import ObjectiveParams, gradient, gradient_from_product
 from .objective import gradient_columns  # noqa: F401  (perfbench/tracer.py wraps these names)
@@ -126,7 +135,8 @@ class SolverConfig:
     Python int and float, numpy ones included, and the mean as a tuple of
     floats, so configs compare and hash by value. The fields are the one
     list of the settings: suites, the CLI overrides and the report's
-    config derive from them.
+    config derive from them. gamma and alpha must also round to finite
+    numbers in KERNEL_DTYPE, the kernel's arithmetic (InputError).
     """
 
     gamma: float
@@ -177,9 +187,37 @@ class SolverConfig:
                 raise InputError("mean must be a vector with entries in [0, 1]")
             object.__setattr__(self, "mean", tuple(m.tolist()))
         self.params()
+        for name in ("gamma", "alpha"):
+            value = getattr(self, name)
+            if _overflows_kernel(value):
+                raise InputError(
+                    f"{name} must be at most {float(np.finfo(KERNEL_DTYPE).max):.4g}, the largest "
+                    f"{np.dtype(KERNEL_DTYPE).name} (the solver's arithmetic), got {value}"
+                )
 
     def params(self) -> ObjectiveParams:
         return ObjectiveParams(self.gamma, self.complement_term_enabled)
+
+
+def _overflows_kernel(x: float) -> bool:
+    """Whether x rounds to an infinity in KERNEL_DTYPE."""
+    with np.errstate(over="ignore"):
+        return bool(np.isinf(KERNEL_DTYPE(x)))
+
+
+def _require_finite_gradients(g: Graph, p: ObjectiveParams) -> None:
+    """Raise InputError where the kernel's gradient can overflow on g.
+
+    An entry of A·X is at most g.max_degree on the box, so the gradient's
+    largest term, (gamma + 1) A·X, stays finite in KERNEL_DTYPE while this
+    bound does. Past it runs go non-finite, which the settings cause, not
+    the arithmetic: bad input rather than a numerical failure.
+    """
+    if _overflows_kernel((p.gamma + 1.0) * g.max_degree):
+        raise InputError(
+            f"gamma {p.gamma} times the largest degree {g.max_degree} overflows "
+            f"{np.dtype(KERNEL_DTYPE).name} (the solver's arithmetic)"
+        )
 
 
 def _is_count(k) -> bool:
@@ -232,7 +270,7 @@ def _run_block(g, p, X, start, iterations, alpha):
 
     Column j is initialization start + j. Returns (found, failures, width)
     where found[j] is None or (init index, member tuple, iteration). X is
-    left unchanged.
+    left unchanged; the kernel runs on a KERNEL_DTYPE copy of it.
 
     Work goes to live columns only: a column that certifies or whose
     gradient goes non-finite is dropped from the iterate, the kept
@@ -260,12 +298,12 @@ def _run_block(g, p, X, start, iterations, alpha):
       no copies of the changed columns.
 
     Every column sees exactly the arithmetic it would see in the full
-    block (adjacency_product and gradient_from_product are width-invariant
+    block (kernel_product and gradient_from_product are width-invariant
     bit for bit), so results do not depend on which other columns are
     still live or moved, nor on scheduling.
     """
     width = X.shape[1]
-    X = np.array(X, dtype=np.float64, order="C")
+    X = np.array(X, dtype=KERNEL_DTYPE, order="C")
     M1 = np.zeros_like(X)
     M2 = np.zeros_like(X)
     cols = np.arange(width)
@@ -273,7 +311,7 @@ def _run_block(g, p, X, start, iterations, alpha):
     Z = np.zeros(X.shape, dtype=bool)  # support of the live columns at the last check
     found: list[tuple[int, tuple[int, ...], int] | None] = [None] * width
     failures = 0
-    P = g.adjacency_product(X)
+    P = g.kernel_product(X)
     G = gradient_from_product(p, X, P)
     finite = _finite_columns(G)
     nfinite = np.count_nonzero(finite)
@@ -288,9 +326,9 @@ def _run_block(g, p, X, start, iterations, alpha):
         X, moved = _adam_update(X, M1, M2, G, t, alpha)
         nmoved = np.count_nonzero(moved)
         if nmoved == k:
-            P = g.adjacency_product(X)
+            P = g.kernel_product(X)
         elif nmoved:
-            P[:, moved] = g.adjacency_product(np.compress(moved, X, axis=1))
+            P[:, moved] = g.kernel_product(np.compress(moved, X, axis=1))
         elif t > 1:
             # no iterate changed, so no support did, and every gradient
             # is still the finite one it had
@@ -358,11 +396,13 @@ def _differs(A, B):
 
 
 def _adam_update(X, M1, M2, G, t, alpha):
-    """One bias-corrected Adam step with clipping to the box.
+    """One bias-corrected Adam step with clipping to the box, in the dtype
+    of X and the moments (the constants are Python floats, which take it).
 
-    The one copy of the update: _run_block calls it on a block, adam_step
-    on a single column. M1 and M2 advance in place; X and G are left
-    unchanged, so the kernel can keep G for the columns that do not move.
+    The one copy of the update: _run_block calls it on a float32 block,
+    adam_step on a single float64 column. M1 and M2 advance in place; X
+    and G are left unchanged, so the kernel can keep G for the columns
+    that do not move.
     Returns the new iterate as a fresh array and the `moved` mask, which
     is true for every column in which the new iterate differs from X.
     """
@@ -506,12 +546,15 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
     first block and joined before solve returns or raises; they share the
     parent's pages copy-on-write. With one process, or where fork does not
     exist, the same loop runs every block in this process. Either way the
-    blocks' BLAS products take one thread (see _one_blas_thread).
+    blocks' BLAS products take one thread (see _one_blas_thread). Raises
+    InputError for a gamma whose gradients overflow on g
+    (_require_finite_gradients).
     """
     t0 = time.perf_counter()
     p = cfg.params()
+    _require_finite_gradients(g, p)
     mean = initial_mean(g, cfg.init_scheme, cfg.mean)
-    g.adjacency()  # build once, before the workers fork
+    g.adjacency()  # build the kernel's operator once, before the workers fork
     processes = min(_resolve_workers(workers), -(-cfg.batch_size // CHUNK))
     best: NodeSet | None = None
     found_count = 0
@@ -613,12 +656,14 @@ def run_resampling(g: Graph, p: ObjectiveParams, iterations: int, alpha: float, 
     non-finite, that run is replayed alone on its own budget:
     NumericalError is raised exactly when a run fails within it. Raises
     ValueError for an alpha that is not positive or a budget that is not
-    an integer >= 0.
+    an integer >= 0, and InputError for a gamma whose gradients overflow
+    on g (_require_finite_gradients).
     """
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     if not (_is_count(iterations) and iterations >= 0):
         raise ValueError(f"iterations must be an integer >= 0, got {iterations!r}")
+    _require_finite_gradients(g, p)
     iterations = int(iterations)
     sizes: list[int] = []
     best: NodeSet | None = None

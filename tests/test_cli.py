@@ -80,6 +80,19 @@ def test_solve_rejects_bad_gamma(graph_file, capsys):
         assert "'n' or a number" in capsys.readouterr().err
 
 
+def test_solve_rejects_settings_beyond_float32(graph_file, capsys):
+    # the kernel runs in float32, where these would round to inf, or where
+    # gamma times the graph's largest degree (3) would
+    for argv, message in (
+        (["--gamma", "1e39"], "the largest float32"),
+        (["--lr", "1e39"], "the largest float32"),
+        (["--gamma", "3e38"], "overflows float32"),
+    ):
+        assert main(["solve", graph_file, *argv, "--iters", "5", "--batch-size", "2"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
 def test_solve_mean_init(tmp_path, graph_file, capsys):
     mean = tmp_path / "mean.txt"
     np.savetxt(mean, np.array([1.0, 0.0, 0.0, 1.0, 1.0]))

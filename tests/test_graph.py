@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import quadmis.graph as graph_module
 from quadmis import Graph, InvalidEdge, NodeSet, gen_er, gen_gnm, parse_dimacs
+from quadmis.graph import DENSE_PAD, KERNEL_DTYPE
+from quadmis.optimizer import _one_blas_thread
 
 from conftest import dense_adjacency, graph_inputs
 
@@ -117,8 +119,19 @@ def test_adjacency_csr(fig1):
 def test_dense_adjacency_is_the_csr_matrix(g):
     assert g.backend == "dense"
     A = g.adjacency()
-    assert A.dtype == np.float64 and A.flags.c_contiguous and not A.flags.writeable
+    assert A.dtype == KERNEL_DTYPE and A.flags.c_contiguous and not A.flags.writeable
     assert np.array_equal(A, g.adjacency_csr().toarray())
+
+
+def test_csr_adjacency_is_the_kernel_dtype_values():
+    # the CSR backend's operator is the stored values, all ones, in the
+    # kernel's dtype; building it builds no scipy matrix
+    g = gen_er(60, 0.1, 1)
+    assert g.backend == "csr"
+    ones = g.adjacency()
+    assert ones.dtype == KERNEL_DTYPE and ones.shape == g.indices.shape and not ones.flags.writeable
+    assert (ones == 1.0).all() and g.adjacency() is ones
+    assert g._csr is None
 
 
 def test_ndarray_input():
@@ -199,9 +212,10 @@ def test_graphs_are_frozen(build, digest):
 
 
 def test_dense_product_skips_the_padded_copy_only_where_it_is_the_input(monkeypatch):
-    # a C-ordered float64 block whose width is a multiple of 8 is its own
-    # padded copy, so BLAS gets it as it is and the bits are the padded
-    # path's; any other block still goes through a zero-padded copy
+    # a C-ordered kernel-dtype block whose width is a multiple of DENSE_PAD
+    # is its own padded copy, so BLAS gets it as it is and the bits are the
+    # padded path's; any other block still goes through a zero-padded copy
+    # in the kernel's dtype
     g = gen_gnm(120, 3570, 2)
     assert g.backend == "dense"
     A = g.adjacency()
@@ -214,23 +228,70 @@ def test_dense_product_skips_the_padded_copy_only_where_it_is_the_input(monkeypa
 
     monkeypatch.setattr(Graph, "adjacency", lambda self: Recording())
     rng = np.random.default_rng(0)
-    for k in (8, 16, 32):
-        X = rng.random((g.n, k))
-        padded = np.zeros((g.n, k))
-        padded[:, :k] = X
-        got = g.adjacency_product(X)
+    for k in (DENSE_PAD, 2 * DENSE_PAD):
+        X = rng.random((g.n, k), dtype=KERNEL_DTYPE)
+        got = g.kernel_product(X)
         assert operands[-1] is X
-        assert got.flags.c_contiguous and np.array_equal(got, A @ padded)
+        assert got.dtype == KERNEL_DTYPE and got.flags.c_contiguous and np.array_equal(got, A @ X)
         for j in (0, k - 1):
-            assert np.array_equal(got[:, j], g.adjacency_product(X[:, [j]])[:, 0])
-    X = rng.random((g.n, 8))
-    for Y in (X > 0.5, np.asfortranarray(X), X[:, :5].copy()):
-        got = g.adjacency_product(Y)
+            assert np.array_equal(got[:, j], g.kernel_product(X[:, [j]])[:, 0])
+    X = rng.random((g.n, DENSE_PAD), dtype=KERNEL_DTYPE)
+    for Y in (X > 0.5, np.asfortranarray(X), X[:, :5].copy(), X.astype(np.float64)):
+        got = g.kernel_product(Y)
         operand = operands[-1]
-        assert operand is not Y and operand.dtype == np.float64 and operand.flags.c_contiguous
-        assert operand.shape[1] % 8 == 0 and np.array_equal(operand[:, :Y.shape[1]], Y)
+        assert operand is not Y and operand.dtype == KERNEL_DTYPE and operand.flags.c_contiguous
+        assert operand.shape[1] % DENSE_PAD == 0 and np.array_equal(operand[:, :Y.shape[1]], Y)
         assert not operand[:, Y.shape[1]:].any()
-        assert np.array_equal(got, g.adjacency_product(np.ascontiguousarray(Y, dtype=np.float64)))
+        assert np.array_equal(got, g.kernel_product(np.ascontiguousarray(Y, dtype=KERNEL_DTYPE)))
+
+
+@pytest.mark.parametrize("n,m", [(50, 600), (120, 3570), (333, 27000), (800, 159800)])
+def test_dense_kernel_product_is_width_invariant(n, m):
+    # every column of a block of width 1-96 has the bytes of its width-1
+    # product, at the first, middle and last place of the block; padded
+    # to a multiple of 8 instead of DENSE_PAD, sgemm fails this on the
+    # three smaller graphs. Products run on one BLAS thread, as in solve.
+    g = gen_gnm(n, m, 1)
+    assert g.backend == "dense"
+    rng = np.random.default_rng(n)
+    pool = np.clip(rng.normal(0.3, 0.5, (n, 96)), 0.0, 1.0).astype(KERNEL_DTYPE)
+    with _one_blas_thread():
+        single = [g.kernel_product(pool[:, [j]])[:, 0].tobytes() for j in range(96)]
+        for k in range(1, 97):
+            for shift in (0, 96 - k):  # the block's columns come from both ends of the pool
+                got = g.kernel_product(pool[:, shift:shift + k])
+                assert got.dtype == KERNEL_DTYPE
+                for j in {0, k // 2, k - 1}:
+                    assert got[:, j].tobytes() == single[shift + j], (k, shift, j)
+
+
+@pytest.mark.parametrize("cut_off", [0, graph_module.SCATTER_MIN_WORK], ids=["scattered", "whole"])
+def test_csr_kernel_product_is_the_kernel_dtype_csr_product(monkeypatch, scattered, cut_off):
+    # the CSR kernel product has the bits of csr.dot with the matrix in the
+    # kernel's dtype, scattered or whole, and each column those of its
+    # width-1 product; a block of another dtype is cast to the kernel's
+    monkeypatch.setattr(graph_module, "SCATTER_MIN_WORK", cut_off)
+    g = _with_isolated_nodes()
+    csr = g.adjacency_csr().astype(KERNEL_DTYPE)
+    X = np.clip(_half_zero_rows(np.random.default_rng(3), g.n, 32, boolean=False), 0.0, 1.0)
+    X32 = X.astype(KERNEL_DTYPE)
+    for Y in (X32, X, X > 0.5):
+        assert _bits(g.kernel_product(Y)) == _bits(csr.dot(Y.astype(KERNEL_DTYPE))), Y.dtype
+    got = g.kernel_product(X32)
+    for j in (0, 16, 31):
+        assert _bits(got[:, j].copy()) == _bits(g.kernel_product(X32[:, [j]])[:, 0].copy())
+    assert bool(scattered) == (cut_off == 0)
+
+
+def test_float64_product_takes_the_csr_loops_on_either_backend():
+    # the float64 product of the checks has csr.dot's bits on a dense-backend
+    # graph too, and builds neither the kernel's operator nor a scipy matrix
+    g = gen_gnm(120, 3570, 2)
+    assert g.backend == "dense"
+    X = np.random.default_rng(1).random((g.n, 9))
+    got = g.adjacency_product(X)
+    assert g._dense is None and g._csr is None
+    assert _bits(got) == _bits(g.adjacency_csr().dot(X))
 
 
 def _bits(a):
@@ -243,9 +304,9 @@ def scattered(monkeypatch):
     calls = []
     scatter = graph_module._scatter_product
 
-    def spy(csr, X, rows):
-        calls.append(rows.size)
-        return scatter(csr, X, rows)
+    def spy(*args):  # (indptr, indices, data, X, rows)
+        calls.append(args[-1].size)
+        return scatter(*args)
 
     monkeypatch.setattr(graph_module, "_scatter_product", spy)
     return calls
@@ -303,7 +364,8 @@ def test_scatter_product_edge_blocks(monkeypatch, scattered, fill, k):
     assert _bits(g.adjacency_product(X)) == _bits(want)
     # a block with no zero row is taken whole; every other one is scattered
     assert scattered == ([] if fill is None and k else [0])
-    assert _bits(graph_module._scatter_product(g.adjacency_csr(), X, np.arange(g.n))) == _bits(want)
+    ones = np.ones(g.indices.size)
+    assert _bits(graph_module._scatter_product(g.indptr, g.indices, ones, X, np.arange(g.n))) == _bits(want)
     if fill is not None:
         assert not np.signbit(want).any()
 
@@ -338,8 +400,9 @@ def test_whole_csr_product_is_csr_dot_bit_for_bit(scattered, graph):
 @pytest.mark.parametrize("g", [gen_er(60, 0.1, 1), gen_gnm(30, 200, 5)], ids=["csr", "dense"])
 def test_adjacency_product_rejects_a_block_of_other_height(g):
     for rows in (g.n - 1, g.n + 1, 0):
-        with pytest.raises(ValueError, match="rows for a graph of"):
-            g.adjacency_product(np.ones((rows, 3)))
+        for product in (g.adjacency_product, g.kernel_product):
+            with pytest.raises(ValueError, match="rows for a graph of"):
+                product(np.ones((rows, 3)))
 
 
 def test_scatter_cut_offs(scattered):

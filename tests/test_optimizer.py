@@ -9,6 +9,7 @@ import pytest
 from scipy import sparse
 
 import quadmis.graph as graph_module
+from quadmis.graph import KERNEL_DTYPE
 import quadmis.optimizer as opt
 from quadmis import (
     AdamState,
@@ -29,7 +30,8 @@ from quadmis.errors import InputError
 
 
 def _frozen_gradient_columns(g, p, X):
-    AX = g.adjacency_csr().dot(X)
+    # A·X in X's dtype: the kernel's for its iterates, float64 for the check
+    AX = g.adjacency_csr().astype(X.dtype).dot(X)
     if p.complement_term_enabled:
         return (p.gamma + 1.0) * AX - X.sum(axis=0) + X - 1.0
     return p.gamma * AX - 1.0
@@ -37,7 +39,9 @@ def _frozen_gradient_columns(g, p, X):
 
 def _frozen_run_block(g, p, X, start, iterations, alpha, grad=_frozen_gradient_columns):
     """The full-width kernel the live-column one replaced, kept as the
-    reference: every column is updated and checked on every iteration."""
+    reference: every column is updated on every iteration in the kernel's
+    dtype, and checked in float64 by the gradient's sign test."""
+    X = X.astype(KERNEL_DTYPE)
     width = X.shape[1]
     M1 = np.zeros_like(X)
     M2 = np.zeros_like(X)
@@ -176,6 +180,25 @@ def test_csr_kernel_builds_no_sparse_matrix(monkeypatch):
     assert called == []
     assert scattered
     assert got == want
+    # nor does it build one: the products read indptr, indices and the
+    # kernel's ones
+    fresh = Graph(g.n, g.indptr, g.indices)
+    assert opt._run_block(fresh, p, X, 64, iterations, alpha) == want
+    assert fresh._csr is None
+
+
+@pytest.mark.parametrize("g", [gen_er(200, 0.1, 1), gen_gnm(60, 900, 2)], ids=["csr", "dense"])
+def test_solve_builds_the_kernel_operator_before_any_block(monkeypatch, g):
+    # forked workers share the operator only if solve builds it before
+    # they fork; it takes no product to do so, and builds no scipy matrix.
+    # With a deadline already past, no block runs.
+    products = []
+    monkeypatch.setattr(Graph, "kernel_product", lambda self, X: products.append(X))
+    cfg = SolverConfig(gamma=float(g.n), batch_size=2 * opt.CHUNK, seed=0, time_limit=1e-9)
+    assert solve(g, cfg, workers=2).runs_completed == 0
+    assert products == [] and g._csr is None
+    operator = g._dense if g.backend == "dense" else g._values.get(KERNEL_DTYPE)
+    assert operator is not None and g.adjacency() is operator
 
 
 def test_dense_backend_rule():
@@ -202,9 +225,11 @@ def test_kernel_matches_reference_with_partial_poison(monkeypatch):
 
 
 def _counting(form, seen):
-    def counting(p, X, P):
-        seen.append(X.shape[1])
-        return form(p, X, P)
+    # records the width of X, the operand before the last, of every call:
+    # form(p, X, P) and _scatter_product(indptr, indices, data, X, rows)
+    def counting(*args):
+        seen.append(args[-2].shape[1])
+        return form(*args)
 
     return counting
 
@@ -238,7 +263,7 @@ def test_kernel_idles_where_no_column_moves(monkeypatch, name, g, p, width, iter
     # product, tests no support and checks nothing; the events logged
     # after an update belong to its iteration
     log = []
-    update, product, differs = opt._adam_update, Graph.adjacency_product, opt._differs
+    update, product, differs = opt._adam_update, Graph.kernel_product, opt._differs
     check = opt.checker.fast_mis_check_batch
 
     def updating(X, M1, M2, G, t, alpha):
@@ -262,7 +287,7 @@ def test_kernel_idles_where_no_column_moves(monkeypatch, name, g, p, width, iter
 
     monkeypatch.setattr(opt, "_adam_update", updating)
     monkeypatch.setattr(opt, "_differs", differing)
-    monkeypatch.setattr(Graph, "adjacency_product", producing)
+    monkeypatch.setattr(Graph, "kernel_product", producing)
     monkeypatch.setattr(opt.checker, "fast_mis_check_batch", checking)
     X = np.random.default_rng(width).random((g.n, width))
     got = opt._run_block(g, p, X, 64, iterations, alpha)
@@ -598,6 +623,10 @@ def test_config_validation():
         dict(complement_term_enabled=0),
         dict(alpha=10**400),  # an integer too large for a float
         dict(gamma=float("inf")),  # a gradient of inf times a zero product is NaN
+        # gamma and alpha must be finite in the kernel's float32
+        dict(gamma=1e39),
+        dict(alpha=1e39),
+        dict(alpha=float("inf")),
     ):
         with pytest.raises(InputError):
             SolverConfig(**(dict(gamma=5.0) | bad))
@@ -605,6 +634,25 @@ def test_config_validation():
     assert cfg.iterations == 3
     cfg = SolverConfig(gamma=np.float32(5.0), alpha=np.float64(0.5), eta=np.float32(1.0), time_limit=np.int64(2))
     assert cfg.alpha == 0.5 and cfg.time_limit == 2
+    top = float(np.finfo(KERNEL_DTYPE).max)
+    assert SolverConfig(gamma=top, alpha=top).gamma == top
+    with pytest.raises(InputError, match="gamma must be at most 3.403e\\+38, the largest float32"):
+        SolverConfig(gamma=2 * top)
+
+
+def test_gamma_whose_gradients_overflow_is_bad_input():
+    # gamma fits float32, but (gamma + 1) times a degree does not: every
+    # run would go non-finite, so solve and run_resampling refuse it; a
+    # smaller gamma, or a graph without edges, runs
+    top = float(np.finfo(KERNEL_DTYPE).max)
+    g = gen_er(60, 0.1, 1)
+    for gamma in (top, top / g.max_degree * 1.01):
+        with pytest.raises(InputError, match="overflows float32"):
+            solve(g, SolverConfig(gamma=gamma, iterations=5, batch_size=2), workers=1)
+        with pytest.raises(InputError, match="overflows float32"):
+            run_resampling(g, ObjectiveParams(gamma), 5, 0.5, 0)
+    assert solve(g, SolverConfig(gamma=1e15, iterations=5, batch_size=2), workers=1).numerical_failures == 0
+    assert solve(Graph.from_edge_list(3, []), SolverConfig(gamma=top, iterations=5, batch_size=2), workers=1).best_size == 3
 
 
 def _mean_config(mean):
@@ -630,8 +678,9 @@ def test_config_with_mean_hashes():
 
 
 def _frozen_gradient(g, p, x):
-    # the sum of x added row by row, as the kernel adds every column
-    ax = g.adjacency_csr().dot(x)
+    # the sum of x added row by row, as the kernel adds every column, and
+    # A·x in x's dtype
+    ax = g.adjacency_csr().astype(x.dtype).dot(x)
     if p.complement_term_enabled:
         return (p.gamma + 1.0) * ax - np.cumsum(x)[-1] + x - 1.0
     return p.gamma * ax - 1.0
@@ -647,11 +696,12 @@ def _frozen_adam(x, m1, m2, grad, t, alpha):
 
 def _frozen_run_resampling(g, p, iterations, alpha, seed):
     """The scalar step-and-check loop that run_resampling replaced, kept as
-    the reference: one Adam step, threshold and sign test per iteration.
-    Also returns the total step count at each certificate."""
+    the reference: one Adam step in the kernel's dtype, threshold and
+    float64 sign test per iteration. Also returns the total step count at
+    each certificate."""
     draw = 0
-    x = np.random.default_rng([seed, draw]).random(g.n)
-    m1, m2, t = np.zeros(g.n), np.zeros(g.n), 0
+    x = _frozen_start(g, seed, draw)
+    m1, m2, t = np.zeros(g.n, KERNEL_DTYPE), np.zeros(g.n, KERNEL_DTYPE), 0
     sizes, best, ends = [], None, []
     for used in range(1, iterations + 1):
         t += 1
@@ -665,9 +715,14 @@ def _frozen_run_resampling(g, p, iterations, alpha, seed):
             if best is None or len(members) > len(best):
                 best = members
             draw += 1
-            x = np.random.default_rng([seed, draw]).random(g.n)
-            m1, m2, t = np.zeros(g.n), np.zeros(g.n), 0
+            x = _frozen_start(g, seed, draw)
+            m1, m2, t = np.zeros(g.n, KERNEL_DTYPE), np.zeros(g.n, KERNEL_DTYPE), 0
     return sizes, best, ends
+
+
+def _frozen_start(g, seed, draw):
+    """Start `draw` of the random scheme, as the kernel holds it."""
+    return np.random.default_rng([seed, draw]).random(g.n).astype(KERNEL_DTYPE)
 
 
 RESAMPLING_CASES = [
@@ -757,7 +812,8 @@ def test_resampling_raises_only_within_the_budget(monkeypatch):
     g, p = gen_gnm(30, 200, 5), ObjectiveParams(30.0)
     ends = _frozen_run_resampling(g, p, 300, 0.5, 9)[2]
     assert ends[2] - ends[1] > 2  # run 2 does not certify by step 2
-    x1 = adam_step(g, p, np.random.default_rng([9, 2]).random(g.n), AdamState.fresh(g.n), 0.5)
+    x0, zeros = _frozen_start(g, 9, 2), np.zeros(g.n, KERNEL_DTYPE)
+    x1 = _frozen_adam(x0, zeros, zeros, _frozen_gradient(g, p, x0), 1, 0.5)[0]
     hits = []
     monkeypatch.setattr(opt, "gradient_from_product", _poisoned_at(opt.gradient_from_product, x1, hits))
     widths = _recording_widths(monkeypatch)
