@@ -19,7 +19,9 @@ against the gradient's sign pattern.
 
 fast_mis_check_batch reduces its (n, k) mask of agreeing entries to one
 verdict per column with per_column, the column reduction the solver kernel
-uses for its own masks too.
+uses for its finiteness test too. The kernel checks every live column
+whenever any support changed: the verdict is a pure function of the
+support, so a column whose support did not change fails again.
 """
 
 from __future__ import annotations
@@ -71,23 +73,23 @@ def fast_mis_check_batch(g: Graph, Z: np.ndarray, counts: np.ndarray | None = No
     """
     if counts is None:
         counts = g.adjacency_product(Z)
-    return per_column(np.logical_and, (counts == 0) == Z)
+    return per_column((counts == 0) == Z)
 
 
-def per_column(op, D):
-    """op.reduce(D, axis=0) for a boolean (n, k) matrix D, where op is
-    np.logical_or (any) or np.logical_and (all).
+def per_column(D):
+    """D.all(axis=0) for a boolean (n, k) matrix D.
 
     numpy reduces along axis 0 one k-wide row at a time, at a cost per
     row. From FOLD_MIN_ROWS rows on, the 32 slabs of whole rows are folded
     together first, which runs most of the reduction over long rows.
     """
     n, k = D.shape
+    reduce = np.logical_and.reduce
     if k == 1 or n < FOLD_MIN_ROWS:
-        return op.reduce(D, axis=0)
+        return reduce(D, axis=0)
     head = n - n % 32
-    folded = op.reduce(op.reduce(D[:head].reshape(32, -1), axis=0).reshape(-1, k), axis=0)
-    return op(op.reduce(D[head:], axis=0), folded)
+    folded = reduce(reduce(D[:head].reshape(32, -1), axis=0).reshape(-1, k), axis=0)
+    return np.logical_and(reduce(D[head:], axis=0), folded)
 
 
 def direct_mis_check(g: Graph, z) -> bool:

@@ -24,32 +24,30 @@ in float32 all the same, since the check reads only the zero pattern of
 the kernel's product (below). adam_step, like objective.evaluate and
 gradient, works in float64.
 
-Inside a block the kernel works on live columns only. A column that has
-certified or gone non-finite is dropped, and only columns whose
-thresholded support changed since the last check are checked again: an
-iteration in which no column moved tests no support at all, and one in
-which every column's support changed checks the block whole. Each mask
-the kernel branches on is counted once per iteration, since on narrow
-blocks of small graphs the cost of each numpy call, not the arithmetic,
-sets the time. The
-kernel keeps P, the product A·X of every live column, from one iteration
-to the next and takes one product per iteration, for the columns the Adam
-step moved: a column whose iterate did not change (momentum often holds
-it at a box vertex) has the product it had. The gradient is formed from
-P, and the check reads its verdict off P too: with X >= 0 and Z = X > 0,
-an entry of A·X is zero exactly where the same entry of A·Z is, since
-each is a sum of nonnegative terms, so the verdict is the one A·Z gives.
-Each column's arithmetic is the same whatever the width of the block it
-sits in, so dropping columns and skipping products change no result. That
-holds on both product backends (Graph.kernel_product): dense products
-run on blocks zero-padded to a width that is a multiple of 16
-(graph.DENSE_PAD), and a large CSR product skips the all-zero rows of X,
-which adds only zeros. adam_step is a width-1 call into the same update,
-in float64. run_resampling runs its restarts as blocks of the same
-kernel, several starts to a block, and reads them off in start order
-against its step budget; since a run's path does not depend on the block
-it sits in or on its budget, only on where it is cut off, the width of
-those blocks changes no result either.
+Inside a block the kernel works on live columns only: a column that has
+certified or gone non-finite is dropped. Each iteration after the first
+is one of two cases, told apart by one test of the whole block. In an
+idle one no iterate entry changed (momentum often holds every column at
+a box vertex), and only the Adam update runs. In a busy one the kernel
+takes one product, P = A·X of every live column, and forms every
+gradient from it, and if any support changed, it checks every live
+column, reading the verdict off P: with X >= 0 and Z = X > 0, an entry
+of A·X is zero exactly where the same entry of A·Z is, since each is a
+sum of nonnegative terms, so the verdict is the one A·Z gives. Both
+cases are exact. Each column's arithmetic is the same whatever the width
+of the block it sits in, so a column that did not move gets back the
+product and gradient it had, bit for bit, and dropping columns changes
+no result; and the verdict is a pure function of the support, so a
+support that did not change fails the check again. That holds on both
+product backends (Graph.kernel_product): dense products run on blocks
+zero-padded to a width that is a multiple of 16 (graph.DENSE_PAD), and a
+large CSR product skips the all-zero rows of X, which adds only zeros.
+adam_step is a width-1 call into the same update, in float64.
+run_resampling runs its restarts as blocks of the same kernel, several
+starts to a block, and reads them off in start order against its step
+budget; since a run's path does not depend on the block it sits in or on
+its budget, only on where it is cut off, the width of those blocks
+changes no result either.
 """
 
 from __future__ import annotations
@@ -206,17 +204,22 @@ def _overflows_kernel(x: float) -> bool:
 
 
 def _require_finite_gradients(g: Graph, p: ObjectiveParams) -> None:
-    """Raise InputError where the kernel's gradient can overflow on g.
+    """Raise InputError where the kernel's arithmetic can overflow on g.
 
-    An entry of A·X is at most g.max_degree on the box, so the gradient's
-    largest term, (gamma + 1) A·X, stays finite in KERNEL_DTYPE while this
-    bound does. Past it runs go non-finite, which the settings cause, not
+    On the box an entry of A·X is at most g.max_degree and a column sum
+    at most g.n, so no gradient entry exceeds b = (gamma + 1) max_degree
+    + n + 1. _adam_update squares the entries into its second moment,
+    and none of its intermediates exceeds b^2 by more than rounding, so
+    requiring 4 b^2 to be finite in KERNEL_DTYPE leaves a margin of four.
+    Past it runs stall or go non-finite, which the settings cause, not
     the arithmetic: bad input rather than a numerical failure.
     """
-    if _overflows_kernel((p.gamma + 1.0) * g.max_degree):
+    bound = (p.gamma + 1.0) * g.max_degree + g.n + 1.0
+    if _overflows_kernel(4.0 * bound * bound):
         raise InputError(
-            f"gamma {p.gamma} times the largest degree {g.max_degree} overflows "
-            f"{np.dtype(KERNEL_DTYPE).name} (the solver's arithmetic)"
+            f"gamma {p.gamma} overflows {np.dtype(KERNEL_DTYPE).name} (the solver's arithmetic) on this "
+            f"graph: with its largest degree {g.max_degree} and {g.n} nodes, gradients reach {bound:.4g}, "
+            f"and the Adam update squares them"
         )
 
 
@@ -273,34 +276,27 @@ def _run_block(g, p, X, start, iterations, alpha):
     left unchanged; the kernel runs on a KERNEL_DTYPE copy of it.
 
     Work goes to live columns only: a column that certifies or whose
-    gradient goes non-finite is dropped from the iterate, the kept
-    product, the gradient and both moment matrices, and `cols` maps each
-    remaining column back to its place in X. P is A·X of every live
-    column: after each update only the columns in the `moved` mask (the
-    iterate changed) get a new product, since an unmoved column's product
-    is the one it had. The check reads its verdict off P, and the
-    gradient G is formed from P for the moved columns that stay live;
-    after the last iteration none is formed. Likewise only the live
-    columns whose thresholded support changed are checked; the check is a
-    pure function of that support, so an unchanged one is known to fail
-    again. A gradient is tested for finiteness once, when it is formed; a
-    column that fails drops at the top of the next iteration.
+    gradient goes non-finite is dropped from every matrix the kernel
+    still reads, and `cols` maps each remaining column back to its place
+    in X. A column that fails drops at the top of the next iteration. Z
+    is the support of the live columns at the last check. Each iteration
+    after the first is one of two cases, told apart by one test of the
+    whole block:
 
-    Each iteration keeps its fixed cost down, since on narrow blocks of
-    small graphs that cost, not the arithmetic, sets the time:
+    * idle: no iterate entry changed. Only the Adam update runs: the
+      gradient is the one it had, and no support changed.
+    * busy: some entry changed. Every live column gets a new product P
+      and, unless it is the last iteration, a new gradient formed from
+      P. If some support changed since the last check, every live column
+      is checked, off P.
 
-    * each of the masks finite, moved, changed and ok is counted once,
-      and the loop branches on the counts;
-    * after the first iteration, one in which no column moved skips the
-      support test and the check, since no support can have changed,
-      and forms no gradient;
-    * when every live column changed, the check gets Z and P whole, with
-      no copies of the changed columns.
-
-    Every column sees exactly the arithmetic it would see in the full
-    block (kernel_product and gradient_from_product are width-invariant
-    bit for bit), so results do not depend on which other columns are
-    still live or moved, nor on scheduling.
+    The first iteration is busy and checks, as nothing has been checked
+    yet. Both cases are exact. kernel_product and gradient_from_product
+    are width-invariant bit for bit, so a column that did not move gets
+    the product and gradient it had, and no result depends on which
+    other columns are still live or on scheduling. The check is a pure
+    function of the support (P has the zero pattern of A·Z), so a column
+    whose support did not change fails it again.
     """
     width = X.shape[1]
     X = np.array(X, dtype=KERNEL_DTYPE, order="C")
@@ -311,8 +307,7 @@ def _run_block(g, p, X, start, iterations, alpha):
     Z = np.zeros(X.shape, dtype=bool)  # support of the live columns at the last check
     found: list[tuple[int, tuple[int, ...], int] | None] = [None] * width
     failures = 0
-    P = g.kernel_product(X)
-    G = gradient_from_product(p, X, P)
+    G = gradient_from_product(p, X, g.kernel_product(X))
     finite = _finite_columns(G)
     nfinite = np.count_nonzero(finite)
     for t in range(1, iterations + 1):
@@ -322,60 +317,30 @@ def _run_block(g, p, X, start, iterations, alpha):
                 break
             cols = cols[finite]
             k = nfinite
-            X, M1, M2, G, P, Z = _keep(finite, X, M1, M2, G, P, Z)
+            X, M1, M2, G, Z = _keep(finite, X, M1, M2, G, Z)
         X, moved = _adam_update(X, M1, M2, G, t, alpha)
-        nmoved = np.count_nonzero(moved)
-        if nmoved == k:
-            P = g.kernel_product(X)
-        elif nmoved:
-            P[:, moved] = g.kernel_product(np.compress(moved, X, axis=1))
-        elif t > 1:
-            # no iterate changed, so no support did, and every gradient
-            # is still the finite one it had
-            continue
-        # a column whose support changed has moved, so P is its current
-        # product; at t = 1 every column is checked, and an unmoved one
-        # keeps its initial product
-        Znew = X > 0.0
-        if t == 1:
-            changed, nchanged = None, k
-        else:
-            changed = _differs(Znew, Z)
-            nchanged = np.count_nonzero(changed)
-        Z = Znew
-        if nchanged == k:
+        if not moved and t > 1:
+            continue  # idle
+        P = g.kernel_product(X)
+        S = X > 0.0
+        if t == 1 or (S != Z).any():
+            Z = S
             ok = checker.fast_mis_check_batch(g, Z, P)
-        elif nchanged:
-            ok = np.zeros(k, dtype=bool)
-            ok[changed] = checker.fast_mis_check_batch(
-                g, np.compress(changed, Z, axis=1), np.compress(changed, P, axis=1)
-            )
-        nok = np.count_nonzero(ok) if nchanged else 0
-        if nok:
-            for c in np.flatnonzero(ok):
-                j = int(cols[c])
-                found[j] = (start + j, tuple(np.flatnonzero(Z[:, c]).tolist()), t)
-            if nok == k:
-                break
-            live = ~ok
-            cols = cols[live]
-            k -= nok
-            X, M1, M2, Z, P = _keep(live, X, M1, M2, Z, P)
-            moved = moved[live]
-            nmoved = np.count_nonzero(moved)
-            if nmoved < k:  # else G is formed below
-                G = np.compress(live, G, axis=1)
+            nok = np.count_nonzero(ok)
+            if nok:
+                for c in np.flatnonzero(ok):
+                    j = int(cols[c])
+                    found[j] = (start + j, tuple(np.flatnonzero(Z[:, c]).tolist()), t)
+                if nok == k:
+                    break
+                live = ~ok
+                cols = cols[live]
+                k -= nok
+                X, M1, M2, Z, P = _keep(live, X, M1, M2, Z, P)
         if t == iterations:
             break
-        if nmoved == k:
-            G = gradient_from_product(p, X, P)
-            finite = _finite_columns(G)
-        else:
-            finite = ~moved  # a kept gradient is finite: the others dropped with their columns
-            if nmoved:
-                fresh = gradient_from_product(p, np.compress(moved, X, axis=1), np.compress(moved, P, axis=1))
-                G[:, moved] = fresh
-                finite[moved] = _finite_columns(fresh)
+        G = gradient_from_product(p, X, P)
+        finite = _finite_columns(G)
         nfinite = np.count_nonzero(finite)
     return found, failures, width
 
@@ -387,12 +352,7 @@ def _keep(mask, *arrays):
 
 def _finite_columns(G):
     """Mask of the columns of G whose entries are all finite."""
-    return per_column(np.logical_and, np.isfinite(G))
-
-
-def _differs(A, B):
-    """Mask of the columns in which two (n, k) matrices differ."""
-    return per_column(np.logical_or, A != B)
+    return per_column(np.isfinite(G))
 
 
 def _adam_update(X, M1, M2, G, t, alpha):
@@ -401,10 +361,9 @@ def _adam_update(X, M1, M2, G, t, alpha):
 
     The one copy of the update: _run_block calls it on a float32 block,
     adam_step on a single float64 column. M1 and M2 advance in place; X
-    and G are left unchanged, so the kernel can keep G for the columns
-    that do not move.
-    Returns the new iterate as a fresh array and the `moved` mask, which
-    is true for every column in which the new iterate differs from X.
+    and G are left unchanged.
+    Returns the new iterate as a fresh array and whether any of its
+    entries differs from X.
     """
     M1 *= BETA1
     T = G * (1.0 - BETA1)
@@ -421,7 +380,7 @@ def _adam_update(X, M1, M2, G, t, alpha):
     T /= V
     np.subtract(X, T, out=V)
     V.clip(0.0, 1.0, out=V)
-    return V, _differs(V, X)
+    return V, bool((V != X).any())
 
 
 def _resolve_workers(workers) -> int:
@@ -547,8 +506,8 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
     parent's pages copy-on-write. With one process, or where fork does not
     exist, the same loop runs every block in this process. Either way the
     blocks' BLAS products take one thread (see _one_blas_thread). Raises
-    InputError for a gamma whose gradients overflow on g
-    (_require_finite_gradients).
+    InputError for a gamma whose gradients, or their squares in the Adam
+    update, overflow on g (_require_finite_gradients).
     """
     t0 = time.perf_counter()
     p = cfg.params()
@@ -656,8 +615,8 @@ def run_resampling(g: Graph, p: ObjectiveParams, iterations: int, alpha: float, 
     non-finite, that run is replayed alone on its own budget:
     NumericalError is raised exactly when a run fails within it. Raises
     ValueError for an alpha that is not positive or a budget that is not
-    an integer >= 0, and InputError for a gamma whose gradients overflow
-    on g (_require_finite_gradients).
+    an integer >= 0, and InputError for a gamma whose gradients, or their
+    squares in the Adam update, overflow on g (_require_finite_gradients).
     """
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")

@@ -82,11 +82,13 @@ def test_solve_rejects_bad_gamma(graph_file, capsys):
 
 def test_solve_rejects_settings_beyond_float32(graph_file, capsys):
     # the kernel runs in float32, where these would round to inf, or where
-    # gamma times the graph's largest degree (3) would
+    # gamma times the graph's largest degree (3) would, or the square of
+    # that product in the Adam update
     for argv, message in (
         (["--gamma", "1e39"], "the largest float32"),
         (["--lr", "1e39"], "the largest float32"),
         (["--gamma", "3e38"], "overflows float32"),
+        (["--gamma", "1e19"], "the Adam update squares them"),
     ):
         assert main(["solve", graph_file, *argv, "--iters", "5", "--batch-size", "2"]) == 2
         err = capsys.readouterr().err

@@ -239,9 +239,10 @@ def _counting(form, seen):
     # small steps for a few iterations: no column reaches a vertex, so all move
     ("all-move", gen_er(200, 0.1, 1), ObjectiveParams(200.0), opt.CHUNK, 20, 0.01, False),
 ], ids=["er", "all-move"])
-def test_kernel_skips_products_of_unmoved_columns(monkeypatch, name, g, p, width, iterations, alpha, skips):
+def test_kernel_forms_no_gradient_in_idle_iterations(monkeypatch, name, g, p, width, iterations, alpha, skips):
     # without failures a column lives until the iteration it certifies at,
-    # and each live column-iteration starts from the column's gradient
+    # and each live column-iteration starts from the column's gradient;
+    # fewer are formed only where whole iterations idle
     X = np.random.default_rng(width).random((g.n, width))
     seen = []
     monkeypatch.setattr(opt, "gradient_from_product", _counting(opt.gradient_from_product, seen))
@@ -263,30 +264,33 @@ def test_kernel_idles_where_no_column_moves(monkeypatch, name, g, p, width, iter
     # product, tests no support and checks nothing; the events logged
     # after an update belong to its iteration
     log = []
-    update, product, differs = opt._adam_update, Graph.kernel_product, opt._differs
+    update, product = opt._adam_update, Graph.kernel_product
     check = opt.checker.fast_mis_check_batch
 
-    def updating(X, M1, M2, G, t, alpha):
-        X, moved = update(X, M1, M2, G, t, alpha)
-        log.append((t, int(np.count_nonzero(moved)), []))
-        return X, moved
-
-    def differing(A, B):
-        if A.dtype == bool:  # the update compares iterates, the kernel supports
+    class Thresholded(np.ndarray):
+        # an iterate that logs the block's support test, which starts by
+        # thresholding it, X > 0
+        def __gt__(self, other):
             log[-1][2].append("support")
-        return differs(A, B)
+            return np.asarray(self) > other
+
+    def updating(X, M1, M2, G, t, alpha):
+        V, moved = update(X, M1, M2, G, t, alpha)
+        nmoved = int(np.count_nonzero((V != X).any(axis=0)))
+        assert moved == (nmoved > 0)
+        log.append((t, nmoved, []))
+        return V.view(Thresholded), moved
 
     def producing(self, X):
         if log:
             log[-1][2].append("product")
-        return product(self, X)
+        return product(self, np.asarray(X))
 
     def checking(g, Z, counts=None):
         log[-1][2].append("check")
         return check(g, Z, counts)
 
     monkeypatch.setattr(opt, "_adam_update", updating)
-    monkeypatch.setattr(opt, "_differs", differing)
     monkeypatch.setattr(Graph, "kernel_product", producing)
     monkeypatch.setattr(opt.checker, "fast_mis_check_batch", checking)
     X = np.random.default_rng(width).random((g.n, width))
@@ -296,6 +300,42 @@ def test_kernel_idles_where_no_column_moves(monkeypatch, name, g, p, width, iter
     assert idle and not any(idle)
     assert busy and all("product" in events and "support" in events for events in busy)
     assert got == _frozen_run_block(g, p, X, 64, iterations, alpha)
+
+
+def test_kernel_cases_cover_partial_moves_and_changes(monkeypatch):
+    # the reference tests above pin iterations in which some but not all
+    # live columns moved, and checks at which some but not all live
+    # supports changed: the kernel recomputes and checks those blocks
+    # whole, where it once took only the columns that moved or changed
+    update, check = opt._adam_update, opt.checker.fast_mis_check_batch
+    partial_moves, partial_changes = set(), set()
+    name = last = None  # last: the supports of the last check, less the columns it certified
+
+    def updating(X, M1, M2, G, t, alpha):
+        V, moved = update(X, M1, M2, G, t, alpha)
+        if 0 < np.count_nonzero((V != X).any(axis=0)) < X.shape[1]:
+            partial_moves.add(name)
+        return V, moved
+
+    def checking(g, Z, counts=None):
+        nonlocal last
+        ok = check(g, Z, counts)
+        if last is not None:
+            assert last.shape == Z.shape  # no failures: the live columns are those left
+            changed = np.count_nonzero((Z != last).any(axis=0))
+            assert changed > 0
+            if changed < Z.shape[1]:
+                partial_changes.add(name)
+        last = Z[:, ~ok]
+        return ok
+
+    monkeypatch.setattr(opt, "_adam_update", updating)
+    monkeypatch.setattr(opt.checker, "fast_mis_check_batch", checking)
+    for name, g, p, width, iterations, alpha in KERNEL_CASES:
+        last = None
+        X = np.random.default_rng(width).random((g.n, width))
+        assert opt._run_block(g, p, X, 64, iterations, alpha)[1] == 0
+    assert partial_moves and partial_changes
 
 
 @pytest.mark.parametrize("n,k", [
@@ -312,9 +352,7 @@ def test_differs_matches_plain_reduction(n, k):
         # the first flip lands in the last row, past the folded slabs
         rows = np.r_[n - 1, rng.integers(0, n, flips)][:flips]
         B = A.copy()
-        B[rows, rng.integers(0, k, flips)] += 1.0
-        assert np.array_equal(opt._differs(A, B), (A != B).any(axis=0))
-        # the finiteness mask folds its reduction the same way
+        # the finiteness mask folds its reduction with per_column
         B[rows, rng.integers(0, k, flips)] = [np.nan, np.inf, -np.inf][:flips]
         assert np.array_equal(opt._finite_columns(B), np.isfinite(B).all(axis=0))
         # and so does the check, on boolean and on 0/1 float supports
@@ -653,6 +691,23 @@ def test_gamma_whose_gradients_overflow_is_bad_input():
             run_resampling(g, ObjectiveParams(gamma), 5, 0.5, 0)
     assert solve(g, SolverConfig(gamma=1e15, iterations=5, batch_size=2), workers=1).numerical_failures == 0
     assert solve(Graph.from_edge_list(3, []), SolverConfig(gamma=top, iterations=5, batch_size=2), workers=1).best_size == 3
+
+
+def test_gamma_whose_adam_moments_overflow_is_bad_input():
+    # the Adam update squares each gradient entry, so a gamma whose
+    # gradients fit float32 can still overflow the second moment; the
+    # bound on the entries, (gamma + 1) max_degree + n + 1, must stay
+    # below half of the square root of the float32 maximum
+    g = gen_er(200, 0.05, 1)
+    edge = (np.sqrt(float(np.finfo(KERNEL_DTYPE).max)) / 2 - g.n - 1) / g.max_degree - 1
+    for gamma in (1e20, edge * 1.001):
+        with pytest.raises(InputError, match="overflows float32"):
+            solve(g, SolverConfig(gamma=gamma, iterations=100, batch_size=32), workers=1)
+        with pytest.raises(InputError, match="the Adam update squares them"):
+            run_resampling(g, ObjectiveParams(gamma), 100, 0.5, 0)
+    with np.errstate(over="raise"):
+        assert solve(g, SolverConfig(gamma=edge * 0.999, iterations=100, batch_size=32), workers=1).numerical_failures == 0
+        run_resampling(g, ObjectiveParams(edge * 0.999), 100, 0.5, 0)
 
 
 def _mean_config(mean):
