@@ -93,9 +93,22 @@ class BenchInstance:
         if self.kind == "er":
             return f"er(n={self.n},p={self.p},seed={self.seed})"
         if self.kind == "gnm":
-            m = gnm_edge_count(self.n) if self.m is None else self.m
-            return f"gnm(n={self.n},m={m},seed={self.seed})"
+            return f"gnm(n={self.n},m={self._edges()},seed={self.seed})"
         return self.path
+
+    def _edges(self) -> int:
+        """A gnm instance's edge count: m, or the default where none is given."""
+        return gnm_edge_count(self.n) if self.m is None else self.m
+
+    def graph(self) -> Graph:
+        """Generate the graph, or load it from its file."""
+        if self.kind == "er":
+            return gen_er(self.n, self.p, self.seed)
+        if self.kind == "gnm":
+            return gen_gnm(self.n, self._edges(), self.seed)
+        if self.kind == "file":
+            return load_graph(self.path)
+        raise ValueError(f"unknown instance kind {self.kind!r}")
 
 
 @dataclass
@@ -126,17 +139,6 @@ class BenchSummary:
     total_wall_ms: float
 
 
-def _materialize(inst: BenchInstance) -> Graph:
-    if inst.kind == "er":
-        return gen_er(inst.n, inst.p, inst.seed)
-    if inst.kind == "gnm":
-        m = gnm_edge_count(inst.n) if inst.m is None else inst.m
-        return gen_gnm(inst.n, m, inst.seed)
-    if inst.kind == "file":
-        return load_graph(inst.path)
-    raise ValueError(f"unknown instance kind {inst.kind!r}")
-
-
 def bench_suite(suite: BenchSuite, workers: int | None = None) -> BenchSummary:
     """Solve every instance in order; errors become rows, the suite goes on.
 
@@ -147,7 +149,7 @@ def bench_suite(suite: BenchSuite, workers: int | None = None) -> BenchSummary:
     for inst in suite.instances:
         source = inst.label()
         try:
-            g = _materialize(inst)
+            g = inst.graph()
             cfg = resolve_config(
                 g, preset=suite.preset, time_limit=suite.time_limit, **suite.options
             )

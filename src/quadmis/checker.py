@@ -5,7 +5,7 @@ Two independent routes:
 * fast_mis_check reads the definition off the neighbour counts c = A z: a
   binary z is a maximal independent set iff its members are exactly the
   nodes with no neighbour in it, (c == 0) == z. One adjacency product
-  total, in float64 (Graph.adjacency_product), and none when the caller
+  total, in float64 (adjacency_csr() @ z), and none when the caller
   already holds a product with the zero pattern of the counts: the solver
   passes its kept product A X, which is float32 like the rest of its
   kernel. Only the zero pattern is read, so the verdict is the same in

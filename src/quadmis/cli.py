@@ -15,10 +15,9 @@ from dataclasses import fields
 
 import numpy as np
 
-from .bench import PRESETS, bench_suite, parse_suite, resolve_config, write_summary
+from .bench import PRESETS, BenchInstance, bench_suite, parse_suite, resolve_config, write_summary
 from .checker import direct_mis_check, fast_mis_check
 from .errors import InputError
-from .generators import gen_er, gen_gnm, gnm_edge_count
 from .graph import NodeSet
 from .graph_io import load_graph, write_dimacs, write_edge_list, write_report
 from .initialization import load_mean_file
@@ -108,13 +107,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "er":
-        if args.p is None:
-            raise InputError("er generation needs --p")
-        g = gen_er(args.n, args.p, args.seed)
-    else:
-        m = gnm_edge_count(args.n) if args.m is None else args.m
-        g = gen_gnm(args.n, m, args.seed)
+    if args.family == "er" and args.p is None:
+        raise InputError("er generation needs --p")
+    p = 0.0 if args.p is None else args.p
+    g = BenchInstance(args.family, n=args.n, p=p, m=args.m, seed=args.seed).graph()
     text = write_dimacs(g) if args.format == "dimacs" else write_edge_list(g)
     _emit(text, args.out)
     return 0

@@ -16,8 +16,8 @@ and BLAS where 8m >= n^2, which then takes no more words than the
 8(n + m) a sparse solve may use, and scipy's CSR loops otherwise. Memory
 scales with the edges of the input graph either way. The checks of the
 mathematics (objective.evaluate and gradient, and the fast check where it
-takes its own product) stay float64: adjacency_product runs the CSR loops
-on either backend, with the bits of csr.dot.
+takes its own product) stay float64: adjacency_product multiplies by
+adjacency_csr(), scipy's float64 CSR matrix, on either backend.
 
 A large CSR product visits only the rows of X that hold a nonzero entry:
 the columns of A at those rows, which are A's CSR rows since A is
@@ -26,15 +26,15 @@ the box leaves most of a solver block's rows at exactly 0, and a skipped
 row only adds +0.0 or -0.0 to a sum that starts at +0.0, so the product
 is the whole product bit for bit (_scatter_product).
 
-Both CSR products call scipy's compiled loops in scipy.sparse._sparsetools
-directly, on indptr, indices and a cached array of ones in the product's
-dtype: csr_matvecs for the whole product, csr_row_index to gather the
-rows a scatter visits and csc_matvecs to scatter them. These are the loops
-csr.dot(X) and csr[rows].T.dot(X[rows]) reach, given the same operands in
-the same order, so the bits are theirs (at width 1 scipy takes its
-one-column loops, which add the same terms in the same order). No product
-builds a sparse matrix object. All three loops exist with these
-signatures throughout the declared scipy>=1.10.
+The kernel's CSR product is the one caller of scipy's compiled loops in
+scipy.sparse._sparsetools, on indptr, indices and the float32 ones that
+adjacency() holds: csr_matvecs for the whole product, csr_row_index to
+gather the rows a scatter visits and csc_matvecs to scatter them. These
+are the loops csr.dot(X) and csr[rows].T.dot(X[rows]) reach, given the
+same operands in the same order, so the bits are theirs (at width 1 scipy
+takes its one-column loops, which add the same terms in the same order),
+and the solver builds no sparse matrix object. All three loops exist with
+these signatures throughout the declared scipy>=1.10.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class Graph:
     they share it.
     """
 
-    __slots__ = ("n", "m", "indptr", "indices", "degrees", "max_degree", "backend", "_csr", "_dense", "_values")
+    __slots__ = ("n", "m", "indptr", "indices", "degrees", "max_degree", "backend", "_csr", "_operator")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = int(n)
@@ -146,8 +146,7 @@ class Graph:
             arr.setflags(write=False)
         self.backend = "dense" if _dense_adjacency(self.n, self.m) else "csr"
         self._csr = None
-        self._dense = None
-        self._values: dict = {}
+        self._operator = None
 
     @classmethod
     def from_edge_list(cls, n: int, edges) -> "Graph":
@@ -214,58 +213,48 @@ class Graph:
         return np.stack([src[keep], self.indices[keep].astype(np.int64)], axis=1)
 
     def adjacency_csr(self) -> sparse.csr_matrix:
-        """Adjacency matrix as float64 scipy CSR, cached after first use.
-
-        For callers: no product builds or reads it."""
+        """Adjacency matrix as float64 scipy CSR, read-only and cached
+        after first use: the operator of adjacency_product. The solver
+        never builds it. scipy copies indices into it, so it takes 12
+        bytes per stored entry."""
         if self._csr is None:
             data = np.ones(self.indices.size, dtype=np.float64)
             csr = sparse.csr_matrix(
                 (data, self.indices, self.indptr), shape=(self.n, self.n)
             )
             csr.has_sorted_indices = True
+            csr.data.setflags(write=False)
+            csr.indices.setflags(write=False)
             self._csr = csr
         return self._csr
 
     def adjacency(self) -> np.ndarray:
-        """The solver kernel's operator in KERNEL_DTYPE, cached after first
-        use: the dense n x n matrix on the dense backend, else the stored
-        values (all ones) of the CSR matrix that indptr and indices lay
-        out. The dense matrix is filled in one assignment straight from
-        indptr and indices."""
-        if self.backend == "csr":
-            return self._ones(KERNEL_DTYPE)
-        if self._dense is None:
-            dense = np.zeros((self.n, self.n), dtype=KERNEL_DTYPE)
-            # int32 row ids: the one temporary takes m 8-byte words beside the n^2/2
-            dense[np.repeat(np.arange(self.n, dtype=np.int32), self.degrees), self.indices] = 1.0
-            dense.setflags(write=False)
-            self._dense = dense
-        return self._dense
-
-    def _ones(self, dtype) -> np.ndarray:
-        """The stored values of the CSR matrix, all 1, in dtype; read-only
-        and cached per dtype."""
-        ones = self._values.get(dtype)
-        if ones is None:
-            ones = np.ones(self.indices.size, dtype=dtype)
-            ones.setflags(write=False)
-            self._values[dtype] = ones
-        return ones
+        """The solver kernel's operator in KERNEL_DTYPE, read-only and
+        cached after first use: the dense n x n matrix on the dense
+        backend, else the stored values (all ones) of the CSR matrix that
+        indptr and indices lay out. The dense matrix is filled in one
+        assignment straight from indptr and indices."""
+        if self._operator is None:
+            if self.backend == "csr":
+                operator = np.ones(self.indices.size, dtype=KERNEL_DTYPE)
+            else:
+                operator = np.zeros((self.n, self.n), dtype=KERNEL_DTYPE)
+                # int32 row ids: the one temporary takes m 8-byte words beside the n^2/2
+                operator[np.repeat(np.arange(self.n, dtype=np.int32), self.degrees), self.indices] = 1.0
+            operator.setflags(write=False)
+            self._operator = operator
+        return self._operator
 
     def adjacency_product(self, X: np.ndarray) -> np.ndarray:
         """A·X for an (n, k) matrix X of floats or booleans, as a new
-        C-ordered float64 array: the product of the checks of the
-        mathematics (objective.evaluate and gradient, and the fast check
-        when it is given no product). It runs the CSR loops on either
-        backend (_csr_product), so its bits are csr.dot's: scipy's compiled
-        _sparsetools.csr_matvecs (in every scipy>=1.10) is given the
-        operands that adjacency_csr().dot(X) gives it, X among them as
-        X.ravel() (a C-ordered copy where X is not one already), which the
-        loop casts to float64. At width 1 csr.dot calls csr_matvec, which
-        adds the same terms in the same order.
+        C-ordered float64 array: adjacency_csr() @ X, the product of the
+        checks of the mathematics (objective.evaluate and gradient, and
+        the fast check when it is given no product). It takes scipy's CSR
+        loops on either backend, so it does not depend on the BLAS thread
+        count.
         """
         _require_height(self, X)
-        return self._csr_product(X, self._ones(np.float64))
+        return self.adjacency_csr() @ X
 
     def kernel_product(self, X: np.ndarray) -> np.ndarray:
         """A·X for an (n, k) matrix X, cast to KERNEL_DTYPE, as a new
@@ -274,15 +263,14 @@ class Graph:
 
         Column j of the result depends only on column j of X, bit for bit,
         whatever the width, layout or position of the block. A CSR product
-        is _csr_product's with the values adjacency() holds. A dense
-        product runs on a copy of X zero-padded to a C-ordered block whose
-        width is a multiple of DENSE_PAD. A C-ordered KERNEL_DTYPE X whose
-        width is already a multiple of DENSE_PAD is that copy, so it goes
-        to BLAS as it is.
+        is _csr_product's. A dense product runs on a copy of X zero-padded
+        to a C-ordered block whose width is a multiple of DENSE_PAD. A
+        C-ordered KERNEL_DTYPE X whose width is already a multiple of
+        DENSE_PAD is that copy, so it goes to BLAS as it is.
         """
         n, k = _require_height(self, X)
         if self.backend == "csr":
-            return self._csr_product(X.astype(KERNEL_DTYPE, copy=False), self.adjacency())
+            return self._csr_product(X.astype(KERNEL_DTYPE, copy=False))
         if k % DENSE_PAD == 0 and X.dtype == KERNEL_DTYPE and X.flags.c_contiguous:
             return self.adjacency() @ X
         padded = np.zeros((n, -(-k // DENSE_PAD) * DENSE_PAD), dtype=KERNEL_DTYPE)
@@ -290,10 +278,9 @@ class Graph:
         product = self.adjacency() @ padded
         return product if product.shape[1] == k else np.ascontiguousarray(product[:, :k])
 
-    def _csr_product(self, X: np.ndarray, ones: np.ndarray) -> np.ndarray:
-        """A·X in the dtype of ones, the stored values of the CSR matrix,
-        by scipy's compiled loops, which cast X to that dtype (a float64 X
-        does not cast to float32).
+    def _csr_product(self, X: np.ndarray) -> np.ndarray:
+        """A·X for a KERNEL_DTYPE X, in KERNEL_DTYPE, by scipy's compiled
+        loops on indptr, indices and the stored values adjacency() holds.
 
         Each row's entries are added in index order into a zeroed result,
         so each column's bits are those of the product of that column
@@ -304,11 +291,12 @@ class Graph:
         it skips are zeros that change no bit.
         """
         n, k = X.shape
+        ones = self.adjacency()
         if self.indices.size * k >= SCATTER_MIN_WORK:
             rows = np.flatnonzero(X.any(axis=1))
             if rows.size <= SCATTER_MAX_ROW_SHARE * n:
                 return _scatter_product(self.indptr, self.indices, ones, X, rows)
-        product = np.zeros((n, k), dtype=ones.dtype)
+        product = np.zeros((n, k), dtype=KERNEL_DTYPE)
         _sparsetools.csr_matvecs(n, n, k, self.indptr, self.indices, ones, X.ravel(), product.ravel())
         return product
 

@@ -13,8 +13,8 @@ so evaluation and gradients cost one adjacency product plus vector
 reductions and no complement structure ever exists. The expansion is the
 contract, not an optimization; a materialized-complement reference lives
 only in the test suite. evaluate and gradient work in float64, with the
-product Graph.adjacency_product, which runs scipy's CSR loops on every
-graph. The solver kernel forms its float32 gradients with
+product Graph.adjacency_product, the graph's float64 CSR matrix
+(Graph.adjacency_csr) times X, on every graph. The solver kernel forms its float32 gradients with
 gradient_from_product from its own product (Graph.kernel_product: dense
 BLAS on graphs with 8m >= n^2, CSR otherwise). Each is width-invariant
 bit for bit.
@@ -96,7 +96,7 @@ def gradient_columns(g: Graph, p: ObjectiveParams, X: np.ndarray) -> np.ndarray:
 
     Column j of the result depends only on column j of X, bit for bit: the
     same column gives the same gradient in a block of any width or layout.
-    The product is float64 (Graph.adjacency_product).
+    The product is float64: adjacency_csr() @ X (Graph.adjacency_product).
     """
     if X.ndim != 2 or X.shape[0] != g.n:
         raise DimensionError(f"expected (n, k) matrix with n={g.n}, got {X.shape}")

@@ -134,7 +134,8 @@ class SolverConfig:
     floats, so configs compare and hash by value. The fields are the one
     list of the settings: suites, the CLI overrides and the report's
     config derive from them. gamma and alpha must also round to finite
-    numbers in KERNEL_DTYPE, the kernel's arithmetic (InputError).
+    numbers in KERNEL_DTYPE, the kernel's arithmetic (InputError); alpha
+    is checked as run_resampling checks it (_checked_alpha).
     """
 
     gamma: float
@@ -150,18 +151,13 @@ class SolverConfig:
     mean: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        for name in ("gamma", "alpha", "eta", "time_limit"):
+        for name in ("gamma", "eta", "time_limit"):
             value = getattr(self, name)
-            if not (_is_real(value) or value is None and name == "time_limit"):
-                raise InputError(f"{name} must be a number and not a bool, got {value!r}")
-            try:
-                object.__setattr__(self, name, None if value is None else float(value))
-            except OverflowError:
-                raise InputError(f"{name} is too large for a float, got {value!r}") from None
+            if value is not None or name != "time_limit":
+                object.__setattr__(self, name, _as_float(name, value))
+        object.__setattr__(self, "alpha", _checked_alpha(self.alpha))
         if not isinstance(self.complement_term_enabled, bool):
             raise InputError(f"complement_term_enabled must be a bool, got {self.complement_term_enabled!r}")
-        if not self.alpha > 0.0:
-            raise InputError(f"alpha must be positive, got {self.alpha}")
         if not all(_is_count(k) and k >= 1 for k in (self.iterations, self.batch_size, self.batch_count)):
             raise InputError("iterations, batch_size and batch_count must be integers >= 1")
         if self.time_limit is not None and not self.time_limit > 0.0:
@@ -185,16 +181,42 @@ class SolverConfig:
                 raise InputError("mean must be a vector with entries in [0, 1]")
             object.__setattr__(self, "mean", tuple(m.tolist()))
         self.params()
-        for name in ("gamma", "alpha"):
-            value = getattr(self, name)
-            if _overflows_kernel(value):
-                raise InputError(
-                    f"{name} must be at most {float(np.finfo(KERNEL_DTYPE).max):.4g}, the largest "
-                    f"{np.dtype(KERNEL_DTYPE).name} (the solver's arithmetic), got {value}"
-                )
+        _require_kernel_number("gamma", self.gamma)
 
     def params(self) -> ObjectiveParams:
         return ObjectiveParams(self.gamma, self.complement_term_enabled)
+
+
+def _as_float(name: str, value) -> float:
+    """value as a Python float; InputError unless it is a number and not
+    a bool."""
+    if not _is_real(value):
+        raise InputError(f"{name} must be a number and not a bool, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{name} is too large for a float, got {value!r}") from None
+
+
+def _checked_alpha(alpha) -> float:
+    """alpha as a Python float: a number and not a bool, positive, and
+    finite in KERNEL_DTYPE (InputError). The one alpha check of
+    SolverConfig and run_resampling; on a given graph
+    _require_finite_arithmetic bounds alpha further."""
+    alpha = _as_float("alpha", alpha)
+    if not alpha > 0.0:
+        raise InputError(f"alpha must be positive, got {alpha}")
+    _require_kernel_number("alpha", alpha)
+    return alpha
+
+
+def _require_kernel_number(name: str, value: float) -> None:
+    """InputError where value rounds to an infinity in KERNEL_DTYPE."""
+    if _overflows_kernel(value):
+        raise InputError(
+            f"{name} must be at most {float(np.finfo(KERNEL_DTYPE).max):.4g}, the largest "
+            f"{np.dtype(KERNEL_DTYPE).name} (the solver's arithmetic), got {value}"
+        )
 
 
 def _overflows_kernel(x: float) -> bool:
@@ -203,7 +225,7 @@ def _overflows_kernel(x: float) -> bool:
         return bool(np.isinf(KERNEL_DTYPE(x)))
 
 
-def _require_finite_gradients(g: Graph, p: ObjectiveParams) -> None:
+def _require_finite_arithmetic(g: Graph, p: ObjectiveParams, alpha: float) -> None:
     """Raise InputError where the kernel's arithmetic can overflow on g.
 
     On the box an entry of A·X is at most g.max_degree and a column sum
@@ -211,8 +233,13 @@ def _require_finite_gradients(g: Graph, p: ObjectiveParams) -> None:
     + n + 1. _adam_update squares the entries into its second moment,
     and none of its intermediates exceeds b^2 by more than rounding, so
     requiring 4 b^2 to be finite in KERNEL_DTYPE leaves a margin of four.
-    Past it runs stall or go non-finite, which the settings cause, not
-    the arithmetic: bad input rather than a numerical failure.
+    Its bias-corrected first moment m is a weighted mean of gradient
+    entries, so |m| <= b; the step is alpha m divided by sqrt(v) + EPS
+    >= EPS, so neither alpha m nor that quotient exceeds alpha b / EPS
+    by more than rounding, and requiring 4 alpha b / EPS to be finite
+    leaves the same margin. Past either bound runs stall or go
+    non-finite, which the settings cause, not the arithmetic: bad input
+    rather than a numerical failure.
     """
     bound = (p.gamma + 1.0) * g.max_degree + g.n + 1.0
     if _overflows_kernel(4.0 * bound * bound):
@@ -220,6 +247,12 @@ def _require_finite_gradients(g: Graph, p: ObjectiveParams) -> None:
             f"gamma {p.gamma} overflows {np.dtype(KERNEL_DTYPE).name} (the solver's arithmetic) on this "
             f"graph: with its largest degree {g.max_degree} and {g.n} nodes, gradients reach {bound:.4g}, "
             f"and the Adam update squares them"
+        )
+    if _overflows_kernel(4.0 * alpha * bound / EPS):
+        raise InputError(
+            f"alpha {alpha} overflows {np.dtype(KERNEL_DTYPE).name} (the solver's arithmetic) on this "
+            f"graph: gradients reach {bound:.4g}, and the Adam step multiplies their mean by alpha and "
+            f"divides it by as little as {EPS}"
         )
 
 
@@ -507,11 +540,12 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
     exist, the same loop runs every block in this process. Either way the
     blocks' BLAS products take one thread (see _one_blas_thread). Raises
     InputError for a gamma whose gradients, or their squares in the Adam
-    update, overflow on g (_require_finite_gradients).
+    update, overflow on g, or an alpha whose Adam step does
+    (_require_finite_arithmetic).
     """
     t0 = time.perf_counter()
     p = cfg.params()
-    _require_finite_gradients(g, p)
+    _require_finite_arithmetic(g, p, cfg.alpha)
     mean = initial_mean(g, cfg.init_scheme, cfg.mean)
     g.adjacency()  # build the kernel's operator once, before the workers fork
     processes = min(_resolve_workers(workers), -(-cfg.batch_size // CHUNK))
@@ -614,15 +648,14 @@ def run_resampling(g: Graph, p: ObjectiveParams, iterations: int, alpha: float, 
     than its own budget, so where the loop stops at a run that went
     non-finite, that run is replayed alone on its own budget:
     NumericalError is raised exactly when a run fails within it. Raises
-    ValueError for an alpha that is not positive or a budget that is not
-    an integer >= 0, and InputError for a gamma whose gradients, or their
-    squares in the Adam update, overflow on g (_require_finite_gradients).
+    InputError for an alpha that SolverConfig would refuse, a budget that
+    is not an integer >= 0, and a gamma or alpha whose arithmetic
+    overflows on g, as solve() does (_require_finite_arithmetic).
     """
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    alpha = _checked_alpha(alpha)
     if not (_is_count(iterations) and iterations >= 0):
-        raise ValueError(f"iterations must be an integer >= 0, got {iterations!r}")
-    _require_finite_gradients(g, p)
+        raise InputError(f"iterations must be an integer >= 0, got {iterations!r}")
+    _require_finite_arithmetic(g, p, alpha)
     iterations = int(iterations)
     sizes: list[int] = []
     best: NodeSet | None = None

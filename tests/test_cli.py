@@ -95,6 +95,14 @@ def test_solve_rejects_settings_beyond_float32(graph_file, capsys):
         assert message in err and "Traceback" not in err
 
 
+def test_solve_rejects_an_lr_whose_adam_step_overflows(graph_file, capsys):
+    # 1e38 is finite in float32, but the Adam step multiplies it by the
+    # mean gradient and divides by as little as 1e-8
+    assert main(["solve", graph_file, "--lr", "1e38", "--iters", "5", "--batch-size", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "the Adam step" in err and "Traceback" not in err
+
+
 def test_solve_mean_init(tmp_path, graph_file, capsys):
     mean = tmp_path / "mean.txt"
     np.savetxt(mean, np.array([1.0, 0.0, 0.0, 1.0, 1.0]))

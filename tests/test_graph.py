@@ -115,6 +115,15 @@ def test_adjacency_csr(fig1):
     assert fig1.adjacency_csr() is a
 
 
+def test_adjacency_csr_is_read_only(fig1):
+    # evaluate, gradient and the fast check multiply by it, so a write to
+    # it must fail rather than change them
+    a = fig1.adjacency_csr()
+    for arr in (a.data, a.indices, a.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 2
+
+
 @pytest.mark.parametrize("g", [gen_gnm(120, 3570, 2), Graph.from_edge_list(2, [(0, 1)])], ids=["gnm120", "one-edge"])
 def test_dense_adjacency_is_the_csr_matrix(g):
     assert g.backend == "dense"
@@ -285,12 +294,12 @@ def test_csr_kernel_product_is_the_kernel_dtype_csr_product(monkeypatch, scatter
 
 def test_float64_product_takes_the_csr_loops_on_either_backend():
     # the float64 product of the checks has csr.dot's bits on a dense-backend
-    # graph too, and builds neither the kernel's operator nor a scipy matrix
+    # graph too, and builds no kernel operator
     g = gen_gnm(120, 3570, 2)
     assert g.backend == "dense"
     X = np.random.default_rng(1).random((g.n, 9))
     got = g.adjacency_product(X)
-    assert g._dense is None and g._csr is None
+    assert g._operator is None
     assert _bits(got) == _bits(g.adjacency_csr().dot(X))
 
 
@@ -310,6 +319,12 @@ def scattered(monkeypatch):
 
     monkeypatch.setattr(graph_module, "_scatter_product", spy)
     return calls
+
+
+def _kernel_csr_product(g, X):
+    """csr.dot with the matrix and X in the kernel's dtype: the bits the
+    kernel's CSR product must have."""
+    return g.adjacency_csr().astype(KERNEL_DTYPE).dot(X.astype(KERNEL_DTYPE))
 
 
 def _with_isolated_nodes():
@@ -342,13 +357,13 @@ def test_scatter_product_is_the_csr_product_bit_for_bit(monkeypatch, scattered, 
     monkeypatch.setattr(graph_module, "SCATTER_MIN_WORK", 0)
     g = _with_isolated_nodes()
     X = _half_zero_rows(np.random.default_rng(k), g.n, k, boolean)
-    got = g.adjacency_product(X)
+    got = g.kernel_product(X)
     assert scattered == [np.count_nonzero(X.any(axis=1))] and scattered[0] <= g.n // 2
-    assert _bits(got) == _bits(g.adjacency_csr().dot(X))
+    assert _bits(got) == _bits(_kernel_csr_product(g, X))
     if not boolean:
         assert np.isnan(got).any() and np.isinf(got).any()
     for j in {0, k // 2, k - 1}:  # each column as a product of its own
-        assert _bits(got[:, j].copy()) == _bits(g.adjacency_product(X[:, [j]])[:, 0].copy())
+        assert _bits(got[:, j].copy()) == _bits(g.kernel_product(X[:, [j]])[:, 0].copy())
 
 
 @pytest.mark.parametrize("fill", [0.0, -0.0, None], ids=["zeros", "negative-zeros", "no-zero-row"])
@@ -360,12 +375,13 @@ def test_scatter_product_edge_blocks(monkeypatch, scattered, fill, k):
         X = np.random.default_rng(k).random((g.n, k)) + 0.5
     else:
         X = np.full((g.n, k), fill)
-    want = g.adjacency_csr().dot(X)
-    assert _bits(g.adjacency_product(X)) == _bits(want)
+    want = _kernel_csr_product(g, X)
+    assert _bits(g.kernel_product(X)) == _bits(want)
     # a block with no zero row is taken whole; every other one is scattered
     assert scattered == ([] if fill is None and k else [0])
-    ones = np.ones(g.indices.size)
-    assert _bits(graph_module._scatter_product(g.indptr, g.indices, ones, X, np.arange(g.n))) == _bits(want)
+    ones = np.ones(g.indices.size, dtype=KERNEL_DTYPE)
+    X32 = X.astype(KERNEL_DTYPE)
+    assert _bits(graph_module._scatter_product(g.indptr, g.indices, ones, X32, np.arange(g.n))) == _bits(want)
     if fill is not None:
         assert not np.signbit(want).any()
 
@@ -413,14 +429,14 @@ def test_scatter_cut_offs(scattered):
     er = gen_er(700, 0.15, 1)
     X = np.clip(rng.normal(0.0, 1.0, (er.n, 32)), 0.0, 1.0)
     X[rng.random(er.n) < 0.5] = 0.0
-    assert _bits(er.adjacency_product(X)) == _bits(er.adjacency_csr().dot(X))
+    assert _bits(er.kernel_product(X)) == _bits(_kernel_csr_product(er, X))
     assert scattered == [np.count_nonzero(X.any(axis=1))]
     assert er.indices.size * 8 < graph_module.SCATTER_MIN_WORK
-    er.adjacency_product(X[:, :8])
-    er.adjacency_product(X + 1.0)
+    er.kernel_product(X[:, :8])
+    er.kernel_product(X + 1.0)
     sparse_graph = gen_er(1290, 0.0065, 1)
-    sparse_graph.adjacency_product(np.zeros((sparse_graph.n, 32)))
+    sparse_graph.kernel_product(np.zeros((sparse_graph.n, 32)))
     gnm = gen_gnm(120, 3570, 2)
     assert gnm.backend == "dense"
-    gnm.adjacency_product(np.zeros((gnm.n, 32)))
+    gnm.kernel_product(np.zeros((gnm.n, 32)))
     assert len(scattered) == 1

@@ -197,8 +197,25 @@ def test_solve_builds_the_kernel_operator_before_any_block(monkeypatch, g):
     cfg = SolverConfig(gamma=float(g.n), batch_size=2 * opt.CHUNK, seed=0, time_limit=1e-9)
     assert solve(g, cfg, workers=2).runs_completed == 0
     assert products == [] and g._csr is None
-    operator = g._dense if g.backend == "dense" else g._values.get(KERNEL_DTYPE)
+    operator = g._operator
     assert operator is not None and g.adjacency() is operator
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: gen_er(200, 0.1, 1), lambda: gen_gnm(60, 900, 2)], ids=["csr", "dense"]
+)
+def test_solver_takes_no_float64_product(monkeypatch, make):
+    # the float64 matrix of the checks (adjacency_csr) is for their callers
+    # only: a solve whose blocks run, and run_resampling, take every
+    # product in the kernel's dtype and never build it
+    g = make()
+    calls = []
+    product = Graph.adjacency_product
+    monkeypatch.setattr(Graph, "adjacency_product", lambda self, X: calls.append(X.shape) or product(self, X))
+    rep = solve(g, SolverConfig(gamma=float(g.n), iterations=100, batch_size=opt.CHUNK), workers=1)
+    out = run_resampling(g, ObjectiveParams(float(g.n)), 300, 0.5, 0)
+    assert rep.runs_completed == opt.CHUNK and rep.mis_found_count > 0 and out.found_sizes
+    assert calls == [] and g._csr is None
 
 
 def test_dense_backend_rule():
@@ -708,6 +725,33 @@ def test_gamma_whose_adam_moments_overflow_is_bad_input():
     with np.errstate(over="raise"):
         assert solve(g, SolverConfig(gamma=edge * 0.999, iterations=100, batch_size=32), workers=1).numerical_failures == 0
         run_resampling(g, ObjectiveParams(edge * 0.999), 100, 0.5, 0)
+
+
+def test_alpha_whose_adam_step_overflows_is_bad_input():
+    # the Adam step multiplies the mean gradient, whose entries are at
+    # most b = (gamma + 1) max_degree + n + 1, by alpha and divides it by
+    # as little as EPS, so 4 alpha b / EPS must be finite in float32: both
+    # entry points refuse an alpha past that with InputError, and an
+    # alpha just inside it runs without an overflow
+    g = gen_er(50, 0.1, 1)
+    p = ObjectiveParams(50.0)
+    b = (p.gamma + 1.0) * g.max_degree + g.n + 1.0
+    edge = float(np.finfo(KERNEL_DTYPE).max) * opt.EPS / (4.0 * b)
+    for alpha, message in (
+        (float("inf"), "the largest float32"),
+        (1e39, "the largest float32"),
+        (1e38, "the Adam step"),
+        (edge * 1.001, "the Adam step"),
+        (True, "not a bool"),
+    ):
+        with pytest.raises(InputError, match=message):
+            solve(g, SolverConfig(gamma=p.gamma, alpha=alpha, iterations=200, batch_size=32), workers=1)
+        with pytest.raises(InputError, match=message):
+            run_resampling(g, p, 200, alpha, 0)
+    with np.errstate(over="raise"):
+        cfg = SolverConfig(gamma=p.gamma, alpha=edge * 0.999, iterations=200, batch_size=32)
+        assert solve(g, cfg, workers=1).numerical_failures == 0
+        run_resampling(g, p, 200, edge * 0.999, 0)
 
 
 def _mean_config(mean):
