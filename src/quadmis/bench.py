@@ -14,11 +14,11 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import InputError
-from .generators import gen_er, gen_gnm, gnm_edge_count
+from .generators import er_args, gen_er, gen_gnm, gnm_args, gnm_edge_count
 from .graph import Graph
 from .graph_io import load_graph
 from .objective import InvalidGamma
-from .optimizer import SolverConfig, _is_count, _is_real, _resolve_workers, solve
+from .optimizer import SolverConfig, _resolve_workers, solve
 from .oracle import greedy_min_degree
 
 # Named hyperparameter bundles for the benchmark families this solver
@@ -72,12 +72,9 @@ def resolve_config(g: Graph, preset: str | None = None, **overrides) -> SolverCo
     """Build a SolverConfig for a graph from a preset plus overrides.
 
     gamma accepts "strict-n", resolved against the graph (see _settings),
-    or a number.
+    or a number. solve checks a mean's length against the graph.
     """
-    cfg = SolverConfig(**_settings(preset, overrides, g.n))
-    if cfg.mean is not None and len(cfg.mean) != g.n:
-        raise InputError(f"mean vector has {len(cfg.mean)} entries, graph has {g.n} nodes")
-    return cfg
+    return SolverConfig(**_settings(preset, overrides, g.n))
 
 
 @dataclass(frozen=True)
@@ -217,37 +214,23 @@ def _check_config(preset, options: dict, time_limit) -> None:
 
 
 def _parse_instance(item: dict) -> BenchInstance:
-    """One suite instance, with every value the generators would reject
-    (a negative count or seed, a p outside [0, 1] or NaN, more edges than
-    pairs) refused here, so that it exits 2 before any instance runs."""
-    seed = _count(item.get("seed", 0), "seed")
+    """One suite instance, its arguments checked by the generators' own
+    rules (generators.er_args and gnm_args), so that a value a generator
+    would reject exits 2 before any instance runs."""
+    seed = item.get("seed", 0)
     if "er" in item:
-        n, p = item["er"]
-        if not _is_real(p):
-            raise ValueError(f"p must be a number and not a bool, got {p!r}")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p!r}")
-        return BenchInstance("er", n=_count(n, "n"), p=float(p), seed=seed)
+        n, p, seed = er_args(*item["er"], seed)
+        return BenchInstance("er", n=n, p=p, seed=seed)
     if "gnm" in item:
         vals = item["gnm"]
         if not isinstance(vals, list) or len(vals) not in (1, 2):
             raise ValueError("gnm takes [n] or [n, m]")
-        n = _count(vals[0], "n")
-        m = _count(vals[1], "m") if len(vals) == 2 else None
-        if m is not None and m > n * (n - 1) // 2:
-            raise ValueError(f"m={m} exceeds the {n * (n - 1) // 2} pairs of {n} nodes")
-        return BenchInstance("gnm", n=n, m=m, seed=seed)
+        # without m the instance takes gnm_edge_count(n), which every n allows
+        n, m, seed = gnm_args(vals[0], vals[1] if len(vals) == 2 else 0, seed)
+        return BenchInstance("gnm", n=n, m=m if len(vals) == 2 else None, seed=seed)
     if "file" in item:
         return BenchInstance("file", path=str(item["file"]))
     raise ValueError("instance needs one of er/gnm/file")
-
-
-def _count(value, name: str) -> int:
-    if not _is_count(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
-    return value
 
 
 def write_summary(summary: BenchSummary, fmt: str = "json") -> str:

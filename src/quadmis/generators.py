@@ -1,29 +1,43 @@
-"""Seeded random graph generators."""
+"""Seeded random graph generators. er_args and gnm_args are the one check
+of their arguments, which bench.parse_suite makes of a suite's instances too."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _as_float, _checked_count
 from .graph import Graph
 
 
 class InvalidEdgeCount(InputError):
-    """Requested more edges than the node count allows."""
+    """An edge count that is not an integer in [0, n(n-1)/2]."""
 
 
-def _check_size_and_seed(n: int, seed: int) -> None:
-    if n < 0:
-        raise InputError(f"n must be non-negative, got {n}")
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
+def er_args(n, p, seed) -> tuple[int, float, int]:
+    """gen_er's arguments as Python numbers. InputError unless n and seed
+    are integers >= 0 and p is a number in [0, 1]."""
+    n, seed = _checked_count("n", n), _checked_count("seed", seed)
+    p = _as_float("p", p)
+    if not 0.0 <= p <= 1.0:
+        raise InputError(f"p must lie in [0, 1], got {p}")
+    return n, p, seed
+
+
+def gnm_args(n, m, seed) -> tuple[int, int, int]:
+    """gen_gnm's arguments as Python ints. InputError unless n and seed
+    are integers >= 0, and InvalidEdgeCount unless m is an integer in
+    [0, n(n-1)/2]."""
+    n, seed = _checked_count("n", n), _checked_count("seed", seed)
+    m = _checked_count("m", m, error=InvalidEdgeCount)
+    pairs = n * (n - 1) // 2
+    if m > pairs:
+        raise InvalidEdgeCount(f"m={m} exceeds the {pairs} pairs of {n} nodes")
+    return n, m, seed
 
 
 def gen_er(n: int, p: float, seed: int) -> Graph:
     """G(n, p): every unordered pair kept independently with probability p."""
-    _check_size_and_seed(n, seed)
-    if not 0.0 <= p <= 1.0:
-        raise InputError("p must lie in [0, 1]")
+    n, p, seed = er_args(n, p, seed)
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.size) < p
@@ -41,10 +55,8 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
     Samples m distinct pair ranks without replacement and decodes each
     rank to its (u, v) position in the row-major upper triangle.
     """
-    _check_size_and_seed(n, seed)
+    n, m, seed = gnm_args(n, m, seed)
     total = n * (n - 1) // 2
-    if m < 0 or m > total:
-        raise InvalidEdgeCount(f"m={m} outside [0, {total}] for n={n}")
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(total, size=m, replace=False))
     counts = (n - 1) - np.arange(n, dtype=np.int64)

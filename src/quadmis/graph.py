@@ -46,7 +46,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from .errors import InputError
+from .errors import InputError, _checked_count
 
 # A CSR product whose stored entries times columns fall below this is taken
 # whole: the scatter's set-up (finding X's nonzero rows and gathering A's
@@ -153,10 +153,9 @@ class Graph:
         """Build from (u, v) pairs; duplicates and mirrored pairs collapse.
 
         Accepts any iterable of pairs or an (m, 2) integer array, on fewer
-        than 2^31 nodes.
+        than 2^31 nodes; n must be an integer >= 0 (InputError).
         """
-        if n < 0:
-            raise ValueError("node count must be non-negative")
+        n = _checked_count("node count", n)
         # int32 indices keep the scipy matvec path copy-free, and below 2^31
         # nodes every entry key u * n + v fits in int64
         if n >= 2**31:

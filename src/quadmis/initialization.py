@@ -90,9 +90,12 @@ def sample_around(centre: np.ndarray, eta: float, seed: int, start: int, stop: i
 
 
 def initial_mean(g: Graph, scheme: str, mean: tuple[float, ...] | None) -> np.ndarray | None:
-    """The scheme's mean, resolved once per solve; None for uniform starts."""
+    """The scheme's mean, resolved once per solve; None for uniform starts.
+    InputError for an external mean whose length is not g.n."""
     if scheme == "degree":
         return degree_mean(g)
+    if mean is not None and len(mean) != g.n:
+        raise InputError(f"mean vector has {len(mean)} entries, graph has {g.n} nodes")
     return None if mean is None else np.array(mean)
 
 

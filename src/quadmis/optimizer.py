@@ -67,7 +67,7 @@ import numpy as np
 from . import checker
 from .checker import per_column
 from .checker import fast_mis_check, fast_mis_check_batch  # noqa: F401  (perfbench/tracer.py wraps these names)
-from .errors import InputError
+from .errors import InputError, _as_float, _checked_count
 from .graph import KERNEL_DTYPE, Graph, NodeSet
 from .initialization import SCHEMES, initial_mean, sample_around, sample_block
 from .objective import ObjectiveParams, gradient, gradient_from_product
@@ -126,16 +126,16 @@ class SolverConfig:
     gamma is a resolved value here; resolve_config derives it, with the
     rest of a preset, from a graph. init_scheme draws the starts of the
     first batch; solve() draws later ones around the best set so far.
-    mean goes with the external-mean scheme only. This is the one place
-    the solver settings are checked, for type and range (InputError;
-    InvalidGamma, from ObjectiveParams, for gamma's range), and each
-    range check is written so that NaN fails it. Numbers are stored as
-    Python int and float, numpy ones included, and the mean as a tuple of
-    floats, so configs compare and hash by value. The fields are the one
-    list of the settings: suites, the CLI overrides and the report's
-    config derive from them. gamma and alpha must also round to finite
-    numbers in KERNEL_DTYPE, the kernel's arithmetic (InputError); alpha
-    is checked as run_resampling checks it (_checked_alpha).
+    mean goes with the external-mean scheme only, and solve checks its
+    length against the graph. This is the one place the solver settings
+    are checked, for type and range (InputError; InvalidGamma, from
+    ObjectiveParams, for gamma's range), each so that NaN fails it.
+    Numbers are stored as Python int and float, numpy ones included, and
+    the mean as a tuple of floats, so configs compare and hash by value.
+    The fields are the one list of the settings: suites, the CLI
+    overrides and the report's config derive from them. gamma and alpha
+    must also round to finite numbers in KERNEL_DTYPE, the kernel's
+    arithmetic (InputError; alpha through _checked_alpha).
     """
 
     gamma: float
@@ -158,18 +158,14 @@ class SolverConfig:
         object.__setattr__(self, "alpha", _checked_alpha(self.alpha))
         if not isinstance(self.complement_term_enabled, bool):
             raise InputError(f"complement_term_enabled must be a bool, got {self.complement_term_enabled!r}")
-        if not all(_is_count(k) and k >= 1 for k in (self.iterations, self.batch_size, self.batch_count)):
-            raise InputError("iterations, batch_size and batch_count must be integers >= 1")
+        for name, floor in (("iterations", 1), ("batch_size", 1), ("batch_count", 1), ("seed", 0)):
+            object.__setattr__(self, name, _checked_count(name, getattr(self, name), floor))
         if self.time_limit is not None and not self.time_limit > 0.0:
             raise InputError(f"time_limit must be positive when set, got {self.time_limit}")
         if self.init_scheme not in SCHEMES:
             raise InputError(f"unknown init_scheme {self.init_scheme!r}; pick one of {SCHEMES}")
         if not self.eta >= 0.0:
             raise InputError(f"eta must be non-negative, got {self.eta}")
-        if not (_is_count(self.seed) and self.seed >= 0):
-            raise InputError(f"seed must be a non-negative integer, got {self.seed}")
-        for name in ("iterations", "batch_size", "batch_count", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
         if (self.mean is not None) != (self.init_scheme == "external-mean"):
             raise InputError("a mean vector is given if and only if init_scheme is 'external-mean'")
         if self.mean is not None:
@@ -187,21 +183,10 @@ class SolverConfig:
         return ObjectiveParams(self.gamma, self.complement_term_enabled)
 
 
-def _as_float(name: str, value) -> float:
-    """value as a Python float; InputError unless it is a number and not
-    a bool."""
-    if not _is_real(value):
-        raise InputError(f"{name} must be a number and not a bool, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise InputError(f"{name} is too large for a float, got {value!r}") from None
-
-
 def _checked_alpha(alpha) -> float:
     """alpha as a Python float: a number and not a bool, positive, and
     finite in KERNEL_DTYPE (InputError). The one alpha check of
-    SolverConfig and run_resampling; on a given graph
+    SolverConfig, run_resampling and adam_step; on a given graph
     _require_finite_arithmetic bounds alpha further."""
     alpha = _as_float("alpha", alpha)
     if not alpha > 0.0:
@@ -256,16 +241,6 @@ def _require_finite_arithmetic(g: Graph, p: ObjectiveParams, alpha: float) -> No
         )
 
 
-def _is_count(k) -> bool:
-    """A Python or numpy integer, not a bool."""
-    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
-
-
-def _is_real(x) -> bool:
-    """A Python or numpy integer or float, not a bool."""
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
-
-
 @dataclass
 class SolveReport:
     best: NodeSet | None
@@ -286,12 +261,11 @@ def adam_step(g: Graph, p: ObjectiveParams, x, st: AdamState, alpha: float) -> n
     """One bias-corrected Adam update followed by a box projection.
 
     The kernel's update (_adam_update) on x as a single column; st is
-    advanced in place and x is left unchanged. Raises NumericalError if
-    the gradient is not finite (cannot happen while x stays inside the
-    box, but the guard is part of the contract).
+    advanced in place and x is left unchanged. Raises InputError for an
+    alpha SolverConfig would refuse, and NumericalError if the gradient
+    is not finite (cannot happen inside the box; part of the contract).
     """
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    alpha = _checked_alpha(alpha)
     grad = gradient(g, p, x)
     if not np.isfinite(grad).all():
         raise NumericalError("non-finite gradient")
@@ -423,9 +397,7 @@ def _resolve_workers(workers) -> int:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    if not (_is_count(workers) and workers >= 1):
-        raise InputError(f"worker count must be an integer >= 1, got {workers!r}")
-    return int(workers)
+    return _checked_count("worker count", workers, 1)
 
 
 # What a block depends on besides its span and centre: (g, p, cfg, mean,
@@ -653,10 +625,8 @@ def run_resampling(g: Graph, p: ObjectiveParams, iterations: int, alpha: float, 
     overflows on g, as solve() does (_require_finite_arithmetic).
     """
     alpha = _checked_alpha(alpha)
-    if not (_is_count(iterations) and iterations >= 0):
-        raise InputError(f"iterations must be an integer >= 0, got {iterations!r}")
+    iterations = _checked_count("iterations", iterations)
     _require_finite_arithmetic(g, p, alpha)
-    iterations = int(iterations)
     sizes: list[int] = []
     best: NodeSet | None = None
     used = 0

@@ -115,6 +115,16 @@ def test_solve_mean_init(tmp_path, graph_file, capsys):
     assert doc["best_set"] == [0, 3, 4]
 
 
+def test_solve_rejects_a_mean_file_of_the_wrong_length(tmp_path, graph_file, capsys):
+    # solve checks the mean's length against the graph's 5 nodes
+    mean = tmp_path / "mean.txt"
+    for length in (4, 6):
+        np.savetxt(mean, np.full(length, 0.5))
+        assert main(["solve", graph_file, "--init", f"mean:{mean}"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: mean vector has {length} entries, graph has 5 nodes" in err and "Traceback" not in err
+
+
 def test_solve_rejects_bad_init(graph_file, capsys):
     assert main(["solve", graph_file, "--init", "psychic"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -32,6 +32,10 @@ def test_er_rejects_bad_p():
         gen_er(10, 1.5, 0)
     with pytest.raises(InputError):
         gen_er(-5, 0.1, 0)
+    # p is a number and not a bool; n and seed are integers
+    for n, p, seed in ((10, True, 0), (10.0, 0.5, 0), (10, 0.5, 1.5)):
+        with pytest.raises(InputError):
+            gen_er(n, p, seed)
 
 
 def test_gnm_edge_count_quarter_density():
@@ -70,3 +74,6 @@ def test_gnm_rejects_bad_m():
         gen_gnm(6, -1, 0)
     with pytest.raises(InputError):
         gen_gnm(-3, 3, 0)
+    for m in (5.5, True):
+        with pytest.raises(InputError):
+            gen_gnm(10, m, 0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import quadmis.graph as graph_module
 from quadmis import Graph, InvalidEdge, NodeSet, gen_er, gen_gnm, parse_dimacs
+from quadmis.errors import InputError
 from quadmis.graph import DENSE_PAD, KERNEL_DTYPE
 from quadmis.optimizer import _one_blas_thread
 
@@ -51,6 +52,10 @@ def test_out_of_range_rejected():
 def test_negative_n_rejected():
     with pytest.raises(ValueError):
         Graph.from_edge_list(-1, [])
+    # the node count is an integer, not a float or a bool
+    for n in (3.0, True):
+        with pytest.raises(InputError):
+            Graph.from_edge_list(n, [])
 
 
 def test_node_count_beyond_int32_rejected():

@@ -412,6 +412,11 @@ def test_zero_gradient_leaves_x_alone():
 def test_adam_step_rejects_bad_alpha(fig1):
     with pytest.raises(ValueError):
         adam_step(fig1, ObjectiveParams(5.0), np.zeros(5), AdamState.fresh(5), alpha=0.0)
+    # the alpha check SolverConfig and run_resampling share: a bool, an
+    # infinity and a value past the largest float32 are bad input
+    for alpha in (True, float("inf"), 1e39):
+        with pytest.raises(InputError):
+            adam_step(fig1, ObjectiveParams(5.0), np.zeros(5), AdamState.fresh(5), alpha=alpha)
 
 
 def test_complete_graph_yields_singletons():
@@ -769,6 +774,13 @@ def test_configs_with_different_means_compare_unequal():
     assert _mean_config([0.5, 0.2]) != _mean_config([0.5, 0.2, 0.1])
     assert _mean_config([0.5, 0.2]) != replace(_mean_config([0.5, 0.2]), seed=1)
     assert SolverConfig(gamma=5.0) != _mean_config([0.5, 0.2])
+
+
+def test_solve_rejects_a_mean_of_the_wrong_length(fig1):
+    # a config does not know the graph, so solve checks the mean against it
+    for length in (4, 6):
+        with pytest.raises(InputError, match=f"mean vector has {length} entries, graph has 5 nodes"):
+            solve(fig1, _mean_config(np.full(length, 0.5)), workers=1)
 
 
 def test_config_with_mean_hashes():
