@@ -216,21 +216,28 @@ def _check_config(preset, options: dict, time_limit) -> None:
 def _parse_instance(item: dict) -> BenchInstance:
     """One suite instance, its arguments checked by the generators' own
     rules (generators.er_args and gnm_args), so that a value a generator
-    would reject exits 2 before any instance runs."""
+    would reject exits 2 before any instance runs. An instance holds its
+    kind's key and, for er and gnm, an optional seed; any other key is
+    refused, so a misspelt seed or a second kind is not silently dropped."""
+    kind = next((kind for kind in ("er", "gnm", "file") if kind in item), None)
+    if kind is None:
+        raise ValueError("instance needs one of er/gnm/file")
+    allowed = {kind} if kind == "file" else {kind, "seed"}
+    unknown = set(item) - allowed
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}; {kind} instances take {sorted(allowed)}")
+    if kind == "file":
+        return BenchInstance("file", path=str(item["file"]))
     seed = item.get("seed", 0)
-    if "er" in item:
+    if kind == "er":
         n, p, seed = er_args(*item["er"], seed)
         return BenchInstance("er", n=n, p=p, seed=seed)
-    if "gnm" in item:
-        vals = item["gnm"]
-        if not isinstance(vals, list) or len(vals) not in (1, 2):
-            raise ValueError("gnm takes [n] or [n, m]")
-        # without m the instance takes gnm_edge_count(n), which every n allows
-        n, m, seed = gnm_args(vals[0], vals[1] if len(vals) == 2 else 0, seed)
-        return BenchInstance("gnm", n=n, m=m if len(vals) == 2 else None, seed=seed)
-    if "file" in item:
-        return BenchInstance("file", path=str(item["file"]))
-    raise ValueError("instance needs one of er/gnm/file")
+    vals = item["gnm"]
+    if not isinstance(vals, list) or len(vals) not in (1, 2):
+        raise ValueError("gnm takes [n] or [n, m]")
+    # without m the instance takes gnm_edge_count(n), which every n allows
+    n, m, seed = gnm_args(vals[0], vals[1] if len(vals) == 2 else 0, seed)
+    return BenchInstance("gnm", n=n, m=m if len(vals) == 2 else None, seed=seed)
 
 
 def write_summary(summary: BenchSummary, fmt: str = "json") -> str:

@@ -78,8 +78,8 @@ DENSE_PAD = 16
 
 
 class InvalidEdge(InputError):
-    """Self-loop, endpoint outside [0, n), or a graph too large for int32
-    adjacency indices."""
+    """Self-loop, endpoint that is not an integer or lies outside [0, n),
+    or a graph too large for int32 adjacency indices."""
 
 
 @dataclass(frozen=True)
@@ -152,18 +152,21 @@ class Graph:
     def from_edge_list(cls, n: int, edges) -> "Graph":
         """Build from (u, v) pairs; duplicates and mirrored pairs collapse.
 
-        Accepts any iterable of pairs or an (m, 2) integer array, on fewer
-        than 2^31 nodes; n must be an integer >= 0 (InputError).
+        Accepts any iterable of pairs or an (m, 2) array, on fewer than
+        2^31 nodes; n must be an integer >= 0 (InputError). An endpoint whose
+        value the int64 cast would change (a fraction, NaN) is InvalidEdge.
         """
         n = _checked_count("node count", n)
         # int32 indices keep the scipy matvec path copy-free, and below 2^31
         # nodes every entry key u * n + v fits in int64
         if n >= 2**31:
             raise InvalidEdge("node count too large for 32-bit adjacency indices")
-        if isinstance(edges, np.ndarray):
+        if not isinstance(edges, np.ndarray):
+            edges = np.asarray(list(edges))
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the test below
             e = edges.astype(np.int64, copy=False).reshape(-1, 2)
-        else:
-            e = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+        if not np.issubdtype(edges.dtype, np.integer) and (e != edges.reshape(-1, 2)).any():
+            raise InvalidEdge("edge endpoints must be integers")
         if e.size:
             if e.min() < 0 or e.max() >= n:
                 raise InvalidEdge("edge endpoint outside [0, n)")

@@ -1,13 +1,20 @@
 """Batched projected Adam over the box [0,1]^n with per-run early stop.
 
-Scheduling never touches numerics: work is issued in fixed 32-column
-blocks whose spans depend only on the batch size, so every float
-reduction sees identical operands no matter how many workers run or in
-what order blocks finish. solve() is therefore bitwise reproducible
-across worker counts, which the test suite pins. Its workers are forked
-processes: each block is a pure function of its span, its centre set,
-the seed and the config, so a worker inherits the graph and config at
-fork and receives only the span and the centre's members. solve() sets
+Scheduling never touches numerics: starts are grouped in fixed 32-column
+blocks whose spans depend only on the batch size, and each block's
+starts and centre set depend only on its index, so every column sees
+identical operands no matter how many workers run or in what order
+blocks finish. solve() is therefore bitwise reproducible across worker
+counts, which the test suite pins. Blocks are the unit of results; a
+kernel call is the unit of work. solve() hands the kernel F consecutive
+blocks of a batch as one wider call, F = max(1, min(RESTART_LAG //
+processes, ceil(blocks per batch / processes))): up to 4 on one process,
+up to 2 on two, 1 on three or more. That changes only speed, since each
+column's arithmetic is width-invariant (below) and each block in a call
+still starts around its own centre. Its workers are forked processes:
+each call is a pure function of its blocks' spans and centre sets, the
+seed and the config, so a worker inherits the graph and config at fork
+and receives only the spans and the centres' members. solve() sets
 every loaded OpenBLAS to one thread before it forks (the workers inherit
 that) and restores the caller's count afterwards, so the worker count is
 the one parallelism setting and two BLAS threads per worker never contend
@@ -17,16 +24,16 @@ differed from the one-thread product in its last bits. run_resampling()
 pins BLAS the same way.
 
 The kernel works in KERNEL_DTYPE, float32 (graph.py): a block's starts
-are drawn in float64 and cast once, when the block starts, and its
-iterate, moments, products and gradients stay float32, which halves the
-bytes of every product and every Adam update. The certificate is exact
-in float32 all the same, since the check reads only the zero pattern of
-the kernel's product (below). adam_step, like objective.evaluate and
-gradient, works in float64.
+are drawn in float64 and cast once, into its columns of the call's
+matrix, and the iterate, moments, products and gradients stay float32,
+which halves the bytes of every product and every Adam update. The
+certificate is exact in float32 all the same, since the check reads only
+the zero pattern of the kernel's product (below). adam_step, like
+objective.evaluate and gradient, works in float64.
 
-Inside a block the kernel works on live columns only: a column that has
+Inside a call the kernel works on live columns only: a column that has
 certified or gone non-finite is dropped. Each iteration after the first
-is one of two cases, told apart by one test of the whole block. In an
+is one of two cases, told apart by one test of the whole call. In an
 idle one no iterate entry changed (momentum often holds every column at
 a box vertex), and only the Adam update runs. In a busy one the kernel
 takes one product, P = A·X of every live column, and forms every
@@ -35,7 +42,7 @@ column, reading the verdict off P: with X >= 0 and Z = X > 0, an entry
 of A·X is zero exactly where the same entry of A·Z is, since each is a
 sum of nonnegative terms, so the verdict is the one A·Z gives. Both
 cases are exact. Each column's arithmetic is the same whatever the width
-of the block it sits in, so a column that did not move gets back the
+of the call it sits in, so a column that did not move gets back the
 product and gradient it had, bit for bit, and dropping columns changes
 no result; and the verdict is a pure function of the support, so a
 support that did not change fails the check again. That holds on both
@@ -400,7 +407,7 @@ def _resolve_workers(workers) -> int:
     return _checked_count("worker count", workers, 1)
 
 
-# What a block depends on besides its span and centre: (g, p, cfg, mean,
+# What a kernel call depends on besides its blocks: (g, p, cfg, mean,
 # deadline). Set in each pool worker by _start_worker; a forked worker
 # inherits the objects, so none of them is pickled.
 _context: tuple | None = None
@@ -411,24 +418,29 @@ def _start_worker(*context) -> None:
     _context = context
 
 
-def _worker_block(span, members):
-    return _block(*_context, span, members)
+def _worker_block(blocks):
+    return _block(*_context, blocks)
 
 
-def _block(g, p, cfg, mean, deadline, span, members):
-    """Run the initializations in span: around the set `members`, or from
-    cfg.init_scheme's mean when members is None. Returns _run_block's
-    (found, failures, width), or None if the block would start after the
-    deadline."""
+def _block(g, p, cfg, mean, deadline, blocks):
+    """Run consecutive blocks as one kernel call. blocks lists (span,
+    members) in index order, the spans adjacent: each block's starts are
+    drawn around the set `members`, or from cfg.init_scheme's mean when
+    members is None, into its own columns of one KERNEL_DTYPE matrix.
+    Returns _run_block's (found, failures, width) for the whole call, or
+    None if the call would start after the deadline."""
     if deadline is not None and time.perf_counter() >= deadline:
         return None
-    if members is None:
-        X = sample_block(g.n, mean, cfg.seed, span[0], span[1], cfg.eta)
-    else:
-        centre = np.zeros(g.n)
-        centre[list(members)] = 1.0
-        X = sample_around(centre, RESTART_ETA, cfg.seed, span[0], span[1])
-    return _run_block(g, p, X, span[0], cfg.iterations, cfg.alpha)
+    lo, hi = blocks[0][0][0], blocks[-1][0][1]
+    X = np.empty((g.n, hi - lo), dtype=KERNEL_DTYPE)
+    for (a, b), members in blocks:
+        if members is None:
+            X[:, a - lo:b - lo] = sample_block(g.n, mean, cfg.seed, a, b, cfg.eta)
+        else:
+            centre = np.zeros(g.n)
+            centre[list(members)] = 1.0
+            X[:, a - lo:b - lo] = sample_around(centre, RESTART_ETA, cfg.seed, a, b)
+    return _run_block(g, p, X, lo, cfg.iterations, cfg.alpha)
 
 
 @functools.cache
@@ -484,7 +496,7 @@ def _one_blas_thread():
 
 def _pool(processes, context):
     """A fork pool of `processes` workers that hold context, or a null
-    context (blocks run in-process) for one process or where fork does not
+    context (calls run in-process) for one process or where fork does not
     exist."""
     if processes == 1 or "fork" not in multiprocessing.get_all_start_methods():
         return nullcontext()
@@ -499,18 +511,27 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
     Batches run sequentially. The first batch starts from cfg.init_scheme
     and all its blocks run concurrently. Later blocks start around the best
     set of earlier blocks (see RESTART_LAG), so at most RESTART_LAG of them
-    run at once. Results are merged in initialization order, so equal-size
-    sets resolve to the lowest initialization index. The optional time
-    limit is checked before every batch and before every block starts: a
-    block that would start after the deadline is skipped and not counted,
-    but a started block always finishes, so a solve can overrun the limit
-    by up to one block's run time.
+    run at once. Results are merged block by block in initialization
+    order, so equal-size sets resolve to the lowest initialization index,
+    and the parent keeps the best set after each merged block: the centre
+    of block j of a batch is the one after its blocks 0..j-RESTART_LAG.
 
     Blocks run on min(workers, blocks per batch) processes forked at the
-    first block and joined before solve returns or raises; they share the
-    parent's pages copy-on-write. With one process, or where fork does not
-    exist, the same loop runs every block in this process. Either way the
-    blocks' BLAS products take one thread (see _one_blas_thread). Raises
+    first call and joined before solve returns or raises; they share the
+    parent's pages copy-on-write. Each kernel call takes F consecutive
+    blocks of one batch (see the module docstring; the last call of a
+    batch may take fewer), and a call after the first batch starts once
+    the blocks its last block's centre needs are merged. With two
+    processes, call g of such a batch waits only on calls g-2 and before,
+    so both stay busy. With one process, or where fork does not exist, the
+    same loop runs every call in this process. Either way the calls' BLAS
+    products take one thread (see _one_blas_thread).
+
+    The optional time limit is checked before every batch and before
+    every kernel call starts: a call that would start after the deadline
+    is skipped and its blocks are not counted, but a started call always
+    finishes, so a solve can overrun the limit by up to one call's run
+    time, a call being at most RESTART_LAG blocks. Raises
     InputError for a gamma whose gradients, or their squares in the Adam
     update, overflow on g, or an alpha whose Adam step does
     (_require_finite_arithmetic).
@@ -520,59 +541,74 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
     _require_finite_arithmetic(g, p, cfg.alpha)
     mean = initial_mean(g, cfg.init_scheme, cfg.mean)
     g.adjacency()  # build the kernel's operator once, before the workers fork
-    processes = min(_resolve_workers(workers), -(-cfg.batch_size // CHUNK))
+    # the spans of a batch's blocks, counted from its first initialization
+    chunks = [(s, min(s + CHUNK, cfg.batch_size)) for s in range(0, cfg.batch_size, CHUNK)]
+    processes = min(_resolve_workers(workers), len(chunks))
+    fuse = max(1, min(RESTART_LAG // processes, -(-len(chunks) // processes)))  # blocks per kernel call
     best: NodeSet | None = None
     found_count = 0
     completed = 0
     failures = 0
     trace: list[tuple[float, int]] = []
+    bests: list[NodeSet | None] = []  # bests[k]: best once k blocks of the batch are merged
 
     deadline = None if cfg.time_limit is None else t0 + cfg.time_limit
     context = (g, p, cfg, mean, deadline)
 
-    def merge(result):
+    def merge(call):
         nonlocal best, found_count, completed, failures
-        if result is None:  # skipped at the deadline
-            return
-        found, nfail, width = result
-        failures += nfail
-        completed += width - nfail
-        for item in found:  # index order
-            if item is None:
-                continue
-            _, members, _ = item
-            found_count += 1
-            if best is None or len(members) > best.size:
-                best = NodeSet(members)
+        future, spans = call
+        lo = spans[0][0]
+        found = [None] * (spans[-1][1] - lo)
+        result = future.result()
+        if result is not None:  # else skipped at the deadline
+            found, nfail, width = result
+            failures += nfail
+            completed += width - nfail
+        for a, b in spans:  # index order
+            for item in found[a - lo:b - lo]:
+                if item is None:
+                    continue
+                _, members, _ = item
+                found_count += 1
+                if best is None or len(members) > best.size:
+                    best = NodeSet(members)
+            bests.append(best)
 
     with _one_blas_thread(), _pool(processes, context) as pool:
 
-        def start(span, members) -> Future:
+        def start(call) -> Future:
             if pool is not None:
-                return pool.submit(_worker_block, span, members)
+                return pool.submit(_worker_block, call)
             done: Future = Future()
-            done.set_result(_block(*context, span, members))
+            done.set_result(_block(*context, call))
             return done
 
-        in_flight: deque[Future] = deque()
+        in_flight: deque[tuple[Future, list]] = deque()
         try:
             for b in range(cfg.batch_count):
                 if deadline is not None and time.perf_counter() >= deadline:
                     break
                 lo = b * cfg.batch_size
-                for s in range(0, cfg.batch_size, CHUNK):
-                    span = (lo + s, lo + min(s + CHUNK, cfg.batch_size))
+                bests[:] = [best]
+                for i in range(0, len(chunks), fuse):
+                    spans = [(lo + s, lo + e) for s, e in chunks[i:i + fuse]]
+                    centres = [None] * len(spans)
                     if b > 0:
-                        # merge up to RESTART_LAG blocks back, in index order
-                        while len(in_flight) >= RESTART_LAG:
-                            merge(in_flight.popleft().result())
-                    in_flight.append(start(span, best.members if b > 0 and best is not None else None))
+                        # block j starts around the best set of blocks
+                        # 0..j-RESTART_LAG of its batch: merge calls in index
+                        # order until the call's last block has its centre
+                        while len(bests) <= i + len(spans) - RESTART_LAG:
+                            merge(in_flight.popleft())
+                        centres = [bests[max(0, j - RESTART_LAG + 1)] for j in range(i, i + len(spans))]
+                    call = [(span, None if c is None else c.members) for span, c in zip(spans, centres)]
+                    in_flight.append((start(call), spans))
                 while in_flight:
-                    merge(in_flight.popleft().result())
+                    merge(in_flight.popleft())
                 elapsed_ms = (time.perf_counter() - t0) * 1000.0
                 trace.append((elapsed_ms, 0 if best is None else best.size))
         except BaseException:
-            for f in in_flight:  # leave only started blocks for the join
+            for f, _ in in_flight:  # leave only started calls for the join
                 f.cancel()
             raise
     return SolveReport(

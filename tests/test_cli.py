@@ -230,6 +230,9 @@ def test_setting_errors_exit_2(tmp_path, graph_file, capsys):
         {"instances": [{"er": [10, True]}]},
         {"config": {"gamma": float("inf")}, "instances": [{"gnm": [10]}]},
         {"config": {"gamma": "wei-floor"}, "instances": [{"gnm": [10]}]},
+        {"instances": [{"gnm": [10], "sede": 3}]},
+        {"instances": [{"er": [10, 0.5], "gnm": [12]}]},
+        {"instances": [{"file": "x.edges", "seed": 1}]},
     )):
         path = tmp_path / f"junk{i}.json"
         path.write_text(json.dumps(doc))

@@ -49,6 +49,15 @@ def test_out_of_range_rejected():
         Graph.from_edge_list(3, [(-1, 2)])
 
 
+def test_non_integer_endpoints_rejected():
+    # the int64 cast would truncate these to edges 0-1 and 0-2
+    for edges in (np.array([[0.5, 1.9]]), [(0.7, 2.2)], np.array([[np.nan, 1.0]]), [(float("nan"), 1)]):
+        with pytest.raises(InvalidEdge, match="integers"):
+            Graph.from_edge_list(3, edges)
+    # integral floats keep their value, so they are endpoints like any other
+    assert Graph.from_edge_list(3, np.array([[0.0, 2.0]])).edge_array().tolist() == [[0, 2]]
+
+
 def test_negative_n_rejected():
     with pytest.raises(ValueError):
         Graph.from_edge_list(-1, [])

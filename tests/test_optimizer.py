@@ -478,23 +478,32 @@ def test_single_run_via_external_mean(fig1):
 
 
 def test_worker_count_invariance():
-    # in the second case the best set grows inside batch 2, whose blocks
-    # start around the best set of the blocks RESTART_LAG back in their batch
+    # in the second case the best set grows inside batch 2, and in the
+    # third inside batch 3, whose blocks start around the best set of the
+    # blocks RESTART_LAG back in their batch. The third has 2 RESTART_LAG
+    # full blocks and a ragged one per batch, and workers 1, 2, 3 and 4
+    # run 4, 2, 1 and 1 of them per kernel call.
     cases = [
         (gen_gnm(60, 900, 2),
          SolverConfig(gamma=60.0, alpha=0.5, iterations=120, batch_size=48, batch_count=2, seed=7)),
         (gen_er(200, 0.1, 1),
          SolverConfig(gamma=200.0, alpha=0.6, iterations=150,
                       batch_size=opt.CHUNK * (opt.RESTART_LAG + 3), batch_count=2, seed=1)),
+        (gen_er(300, 0.05, 1),
+         SolverConfig(gamma=300.0, alpha=0.6, iterations=100,
+                      batch_size=opt.CHUNK * 2 * opt.RESTART_LAG + 5, batch_count=3, seed=1)),
     ]
+    sizes = []
     for g, cfg in cases:
-        a = solve(g, cfg, workers=1)
-        b = solve(g, cfg, workers=4)
-        assert a.best is not None and b.best is not None
-        assert a.best.members == b.best.members
-        assert a.mis_found_count == b.mis_found_count
-        assert a.runs_completed == b.runs_completed
-    assert a.trace[0][1] < a.trace[1][1]
+        a, *others = (solve(g, cfg, workers=w) for w in (1, 2, 3, 4))
+        sizes.append([size for _, size in a.trace])
+        assert a.best is not None
+        for b in others:
+            assert b.best is not None and a.best.members == b.best.members
+            assert a.mis_found_count == b.mis_found_count
+            assert a.runs_completed == b.runs_completed
+            assert [size for _, size in b.trace] == sizes[-1]
+    assert sizes[1][0] < sizes[1][1] and sizes[2][1] < sizes[2][2]
 
 
 def test_restarts_start_at_best(monkeypatch):
@@ -541,8 +550,9 @@ def test_time_limit_skips_batches(fig1):
 
 
 def test_time_limit_skips_blocks(fig1, monkeypatch):
-    # a fake clock that each block advances by 10 s: with a 5 s limit the
-    # first block runs, the two after it in the same batch are skipped
+    # a fake clock that each kernel call advances by 10 s: with a 5 s limit
+    # and one worker the first call, of RESTART_LAG blocks, runs, and the
+    # call of the two blocks after it in the same batch is skipped
     clock = [0.0]
     monkeypatch.setattr(opt, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
     run_block = opt._run_block
@@ -553,11 +563,11 @@ def test_time_limit_skips_blocks(fig1, monkeypatch):
 
     monkeypatch.setattr(opt, "_run_block", slow_block)
     cfg = SolverConfig(
-        gamma=5.0, alpha=0.5, iterations=10, batch_size=3 * opt.CHUNK, batch_count=2,
+        gamma=5.0, alpha=0.5, iterations=10, batch_size=(opt.RESTART_LAG + 2) * opt.CHUNK, batch_count=2,
         seed=0, time_limit=5.0,
     )
     rep = solve(fig1, cfg, workers=1)
-    assert rep.runs_completed == opt.CHUNK
+    assert rep.runs_completed == opt.RESTART_LAG * opt.CHUNK
     assert len(rep.trace) == 1
 
 
@@ -626,10 +636,10 @@ def test_solve_runs_blocks_on_one_blas_thread(monkeypatch):
     try:
         monkeypatch.setattr(opt, "_run_block", counting_block)
         assert solve(g, cfg, workers=1).runs_completed == cfg.batch_size
-        assert seen == [1, 1, 1]
+        assert seen == [1]  # one kernel call for the batch's three blocks
         assert get() == 2  # restored after solve returns
         run_resampling(g, cfg.params(), 100, 0.6, 0)
-        assert len(seen) > 3 and set(seen) == {1}
+        assert len(seen) > 1 and set(seen) == {1}
         assert get() == 2
         monkeypatch.setattr(opt, "_run_block", failing_block)
         with pytest.raises(RuntimeError, match="BLAS threads") as err:
