@@ -41,7 +41,6 @@ from .objective import (
 )
 from .optimizer import (
     AdamState,
-    NumericalError,
     SolverConfig,
     adam_step,
     run_resampling,
@@ -63,7 +62,6 @@ __all__ = [
     "InvalidEdgeCount",
     "InvalidGamma",
     "NodeSet",
-    "NumericalError",
     "ObjectiveParams",
     "ParseError",
     "PRESETS",

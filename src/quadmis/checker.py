@@ -18,8 +18,7 @@ points at binary points are exactly these sets, which the test suite pins
 against the gradient's sign pattern.
 
 fast_mis_check_batch reduces its (n, k) mask of agreeing entries to one
-verdict per column with per_column, the column reduction the solver kernel
-uses for its finiteness test too. The kernel checks every live column
+verdict per column with per_column. The solver kernel checks every live column
 whenever any support changed: the verdict is a pure function of the
 support, so a column whose support did not change fails again.
 """

@@ -1,8 +1,8 @@
 """Command line front end.
 
 Subcommands: solve, gen, oracle, check, bench. Exit codes: 0 on success,
-2 on bad input (parse or validation), 3 on numerical failure. Any other
-error is a program fault and propagates with its traceback.
+2 on bad input (parse or validation). Any other error is a program fault
+and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .graph import NodeSet
 from .graph_io import load_graph, write_dimacs, write_edge_list, write_report
 from .initialization import load_mean_file
 from .oracle import exact_mis
-from .optimizer import NumericalError, SolverConfig, solve
+from .optimizer import SolverConfig, solve
 
 _INPUT_ERRORS = (InputError, OSError)
 
@@ -101,8 +101,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         f"/{rep.runs_completed} wall={rep.wall_time_ms:.1f}ms",
         file=sys.stderr,
     )
-    if rep.mis_found_count == 0 and rep.numerical_failures > 0:
-        return 3
     return 0
 
 
@@ -223,9 +221,6 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -32,29 +32,28 @@ the zero pattern of the kernel's product (below). adam_step, like
 objective.evaluate and gradient, works in float64.
 
 Inside a call the kernel works on live columns only: a column that has
-certified or gone non-finite is dropped. Each iteration after the first
-is one of two cases, told apart by one test of the whole call. In an
-idle one no iterate entry changed (momentum often holds every column at
-a box vertex), and only the Adam update runs. In a busy one the kernel
-takes one product, P = A·X of every live column, and forms every
-gradient from it, and if any support changed, it checks every live
-column, reading the verdict off P: with X >= 0 and Z = X > 0, an entry
-of A·X is zero exactly where the same entry of A·Z is, since each is a
-sum of nonnegative terms, so the verdict is the one A·Z gives. Both
-cases are exact. Each column's arithmetic is the same whatever the width
-of the call it sits in, so a column that did not move gets back the
-product and gradient it had, bit for bit, and dropping columns changes
-no result; and the verdict is a pure function of the support, so a
-support that did not change fails the check again. That holds on both
-product backends (Graph.kernel_product): dense products run on blocks
-zero-padded to a width that is a multiple of 16 (graph.DENSE_PAD), and a
-large CSR product skips the all-zero rows of X, which adds only zeros.
-adam_step is a width-1 call into the same update, in float64.
-run_resampling runs its restarts as blocks of the same kernel, several
-starts to a block, and reads them off in start order against its step
-budget; since a run's path does not depend on the block it sits in or on
-its budget, only on where it is cut off, the width of those blocks
-changes no result either.
+certified is dropped. Each iteration after the first is one of two
+cases, told apart by one test of the whole call. In an idle one no
+iterate entry changed (momentum often holds every column at a box
+vertex), and only the Adam update runs. In a busy one the kernel takes
+one product, P = A·X of every live column, and forms every gradient from
+it, and if any support changed, it checks every live column, reading the
+verdict off P: with X >= 0 and Z = X > 0, an entry of A·X is zero
+exactly where the same entry of A·Z is, since each is a sum of
+nonnegative terms, so the verdict is the one A·Z gives. Both cases are
+exact. Each column's arithmetic is the same whatever the width of the
+call it sits in, so a column that did not move gets back the product and
+gradient it had, bit for bit, and dropping columns changes no result;
+and the verdict is a pure function of the support, so a support that did
+not change fails the check again. That holds on both product backends
+(Graph.kernel_product): dense products run on blocks zero-padded to a
+width that is a multiple of 16 (graph.DENSE_PAD), and a large CSR
+product skips the all-zero rows of X, which adds only zeros. adam_step
+is a width-1 call into the same update, in float64. run_resampling runs
+its restarts as blocks of the same kernel, several starts to a block,
+and reads them off in start order against its step budget; since a run's
+path does not depend on the block it sits in or on its budget, only on
+where it is cut off, the width of those blocks changes no result either.
 """
 
 from __future__ import annotations
@@ -68,16 +67,16 @@ from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from . import checker
-from .checker import per_column
 from .checker import fast_mis_check, fast_mis_check_batch  # noqa: F401  (perfbench/tracer.py wraps these names)
 from .errors import InputError, _as_float, _checked_count
 from .graph import KERNEL_DTYPE, Graph, NodeSet
 from .initialization import SCHEMES, initial_mean, sample_around, sample_block
-from .objective import ObjectiveParams, gradient, gradient_from_product
+from .objective import ObjectiveParams, _as_assignment, gradient, gradient_from_product
 from .objective import gradient_columns  # noqa: F401  (perfbench/tracer.py wraps these names)
 
 BETA1 = 0.9
@@ -109,10 +108,6 @@ RESTART_LAG = 4
 # complement term certify twice, first widths of 4, 8, 12 and 16 took
 # 1.21, 1.11, 1.25 and 1.68 s over eight such arms (2-core x86 box).
 RESTART_FIRST_WIDTH = 8
-
-
-class NumericalError(RuntimeError):
-    """A gradient went non-finite; the affected run is abandoned."""
 
 
 @dataclass
@@ -171,8 +166,8 @@ class SolverConfig:
             raise InputError(f"time_limit must be positive when set, got {self.time_limit}")
         if self.init_scheme not in SCHEMES:
             raise InputError(f"unknown init_scheme {self.init_scheme!r}; pick one of {SCHEMES}")
-        if not self.eta >= 0.0:
-            raise InputError(f"eta must be non-negative, got {self.eta}")
+        if not 0.0 <= self.eta < np.inf:  # sqrt(inf) times a zero draw is NaN
+            raise InputError(f"eta must be non-negative and finite, got {self.eta}")
         if (self.mean is not None) != (self.init_scheme == "external-mean"):
             raise InputError("a mean vector is given if and only if init_scheme is 'external-mean'")
         if self.mean is not None:
@@ -220,19 +215,35 @@ def _overflows_kernel(x: float) -> bool:
 def _require_finite_arithmetic(g: Graph, p: ObjectiveParams, alpha: float) -> None:
     """Raise InputError where the kernel's arithmetic can overflow on g.
 
-    On the box an entry of A·X is at most g.max_degree and a column sum
-    at most g.n, so no gradient entry exceeds b = (gamma + 1) max_degree
-    + n + 1. _adam_update squares the entries into its second moment,
-    and none of its intermediates exceeds b^2 by more than rounding, so
-    requiring 4 b^2 to be finite in KERNEL_DTYPE leaves a margin of four.
-    Its bias-corrected first moment m is a weighted mean of gradient
-    entries, so |m| <= b; the step is alpha m divided by sqrt(v) + EPS
-    >= EPS, so neither alpha m nor that quotient exceeds alpha b / EPS
-    by more than rounding, and requiring 4 alpha b / EPS to be finite
-    leaves the same margin. Past either bound runs stall or go
-    non-finite, which the settings cause, not the arithmetic: bad input
-    rather than a numerical failure.
+    gamma must be finite in KERNEL_DTYPE, and with b = (gamma + 1)
+    max_degree + n + 1, so must 4 b^2 and 4 alpha b / EPS. Then no kernel
+    iteration (_run_block, _adam_update) produces an infinity, for every
+    intermediate is bounded, up to rounding, which the margin of four
+    covers:
+
+    * the starts are finite and lie in the box: uniform draws, or draws
+      around a centre in the box with a finite eta, clipped to it;
+    * 0 <= P = A·X <= max_degree, a sum of at most max_degree entries of
+      [0, 1], and 0 <= each column sum <= n (where max_degree is 0, P is
+      0 and its product with gamma + 1, finite in KERNEL_DTYPE, is 0);
+    * |G| <= b, from G = (gamma + 1) P - sum(X) + X - 1, or gamma P - 1;
+    * |M1| <= b and |mhat| <= b, the first a damped sum and the second a
+      weighted mean of gradient entries;
+    * 0 <= M2 <= b^2 and 0 <= vhat <= b^2, the same of their squares,
+      and (1 - BETA2) G G <= b^2; as M2 >= 0, sqrt sees no negative;
+    * sqrt(vhat) + EPS >= EPS, so nothing is divided by zero;
+    * |alpha mhat| <= alpha b / EPS and so is the step, alpha mhat
+      divided by at least EPS;
+    * X - step is finite, and clipping returns it to the box, so the next
+      iteration starts from the box again.
+
+    With no infinity there is no NaN either: inf - inf, 0 inf and inf /
+    inf each need one, 0 / 0 a zero divisor, and sqrt a negative operand.
+    So no run goes non-finite, and the kernel does not test for it. Past
+    either bound a run could stall or go non-finite because of its
+    settings, not of the arithmetic: bad input.
     """
+    _require_kernel_number("gamma", p.gamma)
     bound = (p.gamma + 1.0) * g.max_degree + g.n + 1.0
     if _overflows_kernel(4.0 * bound * bound):
         raise InputError(
@@ -254,7 +265,6 @@ class SolveReport:
     best_size: int
     mis_found_count: int
     runs_completed: int
-    numerical_failures: int
     wall_time_ms: float
     trace: list[tuple[float, int]] = field(default_factory=list)
     config: SolverConfig | None = None
@@ -262,6 +272,9 @@ class SolveReport:
     m: int = 0
     source: str = ""
     backend: str = ""  # the graph's product backend, "dense" or "csr"
+    # always 0, as no run goes non-finite (_require_finite_arithmetic); a
+    # class attribute, kept for the report's format
+    numerical_failures: ClassVar[int] = 0
 
 
 def adam_step(g: Graph, p: ObjectiveParams, x, st: AdamState, alpha: float) -> np.ndarray:
@@ -269,15 +282,18 @@ def adam_step(g: Graph, p: ObjectiveParams, x, st: AdamState, alpha: float) -> n
 
     The kernel's update (_adam_update) on x as a single column; st is
     advanced in place and x is left unchanged. Raises InputError for an
-    alpha SolverConfig would refuse, and NumericalError if the gradient
-    is not finite (cannot happen inside the box; part of the contract).
+    alpha SolverConfig would refuse, a gamma or alpha whose arithmetic
+    overflows on g as in solve() (_require_finite_arithmetic), and an x
+    outside the box [0,1]^n, NaN included; so from a fresh state no
+    step goes non-finite.
     """
     alpha = _checked_alpha(alpha)
+    _require_finite_arithmetic(g, p, alpha)
+    x = _as_assignment(g, x)
+    if not ((x >= 0.0) & (x <= 1.0)).all():
+        raise InputError("x must lie in the box [0, 1]^n")
     grad = gradient(g, p, x)
-    if not np.isfinite(grad).all():
-        raise NumericalError("non-finite gradient")
     st.step += 1
-    x = np.asarray(x, dtype=np.float64)
     X, _ = _adam_update(x[:, None], st.m1[:, None], st.m2[:, None], grad[:, None], st.step, alpha)
     return X[:, 0]
 
@@ -285,17 +301,15 @@ def adam_step(g: Graph, p: ObjectiveParams, x, st: AdamState, alpha: float) -> n
 def _run_block(g, p, X, start, iterations, alpha):
     """Evolve the starts in the columns of X together; the solver kernel.
 
-    Column j is initialization start + j. Returns (found, failures, width)
-    where found[j] is None or (init index, member tuple, iteration). X is
-    left unchanged; the kernel runs on a KERNEL_DTYPE copy of it.
+    Column j is initialization start + j. Returns (found, 0, width) where
+    found[j] is None or (init index, member tuple, iteration). X is left
+    unchanged; the kernel runs on a KERNEL_DTYPE copy of it.
 
-    Work goes to live columns only: a column that certifies or whose
-    gradient goes non-finite is dropped from every matrix the kernel
-    still reads, and `cols` maps each remaining column back to its place
-    in X. A column that fails drops at the top of the next iteration. Z
-    is the support of the live columns at the last check. Each iteration
-    after the first is one of two cases, told apart by one test of the
-    whole block:
+    Work goes to live columns only: a column that certifies is dropped
+    from every matrix the kernel still reads, and `cols` maps each
+    remaining column back to its place in X. Z is the support of the live
+    columns at the last check. Each iteration after the first is one of
+    two cases, told apart by one test of the whole block:
 
     * idle: no iterate entry changed. Only the Adam update runs: the
       gradient is the one it had, and no support changed.
@@ -320,18 +334,8 @@ def _run_block(g, p, X, start, iterations, alpha):
     k = width  # live columns, cols.size
     Z = np.zeros(X.shape, dtype=bool)  # support of the live columns at the last check
     found: list[tuple[int, tuple[int, ...], int] | None] = [None] * width
-    failures = 0
     G = gradient_from_product(p, X, g.kernel_product(X))
-    finite = _finite_columns(G)
-    nfinite = np.count_nonzero(finite)
     for t in range(1, iterations + 1):
-        if nfinite < k:
-            failures += int(k - nfinite)
-            if nfinite == 0:
-                break
-            cols = cols[finite]
-            k = nfinite
-            X, M1, M2, G, Z = _keep(finite, X, M1, M2, G, Z)
         X, moved = _adam_update(X, M1, M2, G, t, alpha)
         if not moved and t > 1:
             continue  # idle
@@ -354,19 +358,13 @@ def _run_block(g, p, X, start, iterations, alpha):
         if t == iterations:
             break
         G = gradient_from_product(p, X, P)
-        finite = _finite_columns(G)
-        nfinite = np.count_nonzero(finite)
-    return found, failures, width
+    # a constant 0 in the middle, because perfbench/tracer.py unpacks three values
+    return found, 0, width
 
 
 def _keep(mask, *arrays):
     """The columns of each array that mask selects, as C-ordered copies."""
     return [np.compress(mask, a, axis=1) for a in arrays]
-
-
-def _finite_columns(G):
-    """Mask of the columns of G whose entries are all finite."""
-    return per_column(np.isfinite(G))
 
 
 def _adam_update(X, M1, M2, G, t, alpha):
@@ -427,7 +425,7 @@ def _block(g, p, cfg, mean, deadline, blocks):
     members) in index order, the spans adjacent: each block's starts are
     drawn around the set `members`, or from cfg.init_scheme's mean when
     members is None, into its own columns of one KERNEL_DTYPE matrix.
-    Returns _run_block's (found, failures, width) for the whole call, or
+    Returns _run_block's (found, 0, width) for the whole call, or
     None if the call would start after the deadline."""
     if deadline is not None and time.perf_counter() >= deadline:
         return None
@@ -548,7 +546,6 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
     best: NodeSet | None = None
     found_count = 0
     completed = 0
-    failures = 0
     trace: list[tuple[float, int]] = []
     bests: list[NodeSet | None] = []  # bests[k]: best once k blocks of the batch are merged
 
@@ -556,15 +553,14 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
     context = (g, p, cfg, mean, deadline)
 
     def merge(call):
-        nonlocal best, found_count, completed, failures
+        nonlocal best, found_count, completed
         future, spans = call
         lo = spans[0][0]
         found = [None] * (spans[-1][1] - lo)
         result = future.result()
         if result is not None:  # else skipped at the deadline
-            found, nfail, width = result
-            failures += nfail
-            completed += width - nfail
+            found, _, width = result
+            completed += width
         for a, b in spans:  # index order
             for item in found[a - lo:b - lo]:
                 if item is None:
@@ -616,7 +612,6 @@ def solve(g: Graph, cfg: SolverConfig, workers: int | None = None, source: str =
         best_size=0 if best is None else best.size,
         mis_found_count=found_count,
         runs_completed=completed,
-        numerical_failures=failures,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,
         trace=trace,
         config=cfg,
@@ -652,13 +647,10 @@ def run_resampling(g: Graph, p: ObjectiveParams, iterations: int, alpha: float, 
     the loop. That gives what one run per block would, bit for bit:
     start k is the same draw in any block, each column's arithmetic does
     not depend on the block's width, and a run's path does not depend on
-    its budget, only where it is cut off. A block may run a start further
-    than its own budget, so where the loop stops at a run that went
-    non-finite, that run is replayed alone on its own budget:
-    NumericalError is raised exactly when a run fails within it. Raises
-    InputError for an alpha that SolverConfig would refuse, a budget that
-    is not an integer >= 0, and a gamma or alpha whose arithmetic
-    overflows on g, as solve() does (_require_finite_arithmetic).
+    its budget, only where it is cut off. Raises InputError for an alpha
+    that SolverConfig would refuse, a budget that is not an integer >= 0,
+    and a gamma or alpha whose arithmetic overflows on g, as solve() does
+    (_require_finite_arithmetic).
     """
     alpha = _checked_alpha(alpha)
     iterations = _checked_count("iterations", iterations)
@@ -671,15 +663,9 @@ def run_resampling(g: Graph, p: ObjectiveParams, iterations: int, alpha: float, 
             k = len(sizes)  # every run before this one certified
             width = _restart_width(iterations - used, used, k)
             X = sample_block(g.n, None, seed, k, k + width)
-            found, nfail, _ = _run_block(g, p, X, k, iterations - used, alpha)
+            found, _, _ = _run_block(g, p, X, k, iterations - used, alpha)
             for item in found:
-                left = iterations - used
-                if item is None or item[2] > left:  # the budget ends in this run
-                    if item is None and nfail:  # failed within its own budget, or only the block's?
-                        k = len(sizes)
-                        X = sample_block(g.n, None, seed, k, k + 1)
-                        if _run_block(g, p, X, k, left, alpha)[1]:
-                            raise NumericalError("non-finite gradient")
+                if item is None or item[2] > iterations - used:  # the budget ends in this run
                     return ResampleOutcome(found_sizes=sizes, best=best, iterations=iterations)
                 _, members, t = item
                 used += t

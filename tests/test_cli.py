@@ -5,7 +5,6 @@ import pytest
 
 import quadmis
 import quadmis.cli as cli
-import quadmis.optimizer as opt
 from quadmis import Graph, SolverConfig, bench_suite, load_graph, parse_suite, solve, write_edge_list
 from quadmis.cli import main
 from quadmis.errors import InputError
@@ -191,12 +190,6 @@ def test_workers_below_one_rejected(tmp_path, graph_file, capsys, monkeypatch, c
     assert "worker count" in capsys.readouterr().err
 
 
-def test_numerical_failure_exits_3(graph_file, capsys, monkeypatch):
-    # no run certified and some went non-finite
-    monkeypatch.setattr(opt, "gradient_from_product", lambda p, X, P: np.full(X.shape, np.nan))
-    assert main(["solve", graph_file, "--iters", "5", "--batch-size", "2"]) == 3
-
-
 def test_internal_value_error_is_not_bad_input(graph_file, monkeypatch):
     # a ValueError from inside the program is a fault, not bad input: it
     # must surface with its traceback instead of becoming exit code 2
@@ -244,6 +237,7 @@ def test_setting_errors_exit_2(tmp_path, graph_file, capsys):
         ["solve", graph_file, "--eta", "-1", "--init", "degree"],
         ["solve", graph_file, "--lr", "nan"],
         ["solve", graph_file, "--eta", "nan", "--init", "degree"],
+        ["solve", graph_file, "--eta", "inf", "--init", "degree"],
         ["solve", graph_file, "--time-limit", "nan"],
         ["solve", graph_file, "--gamma", "inf"],
         ["solve", graph_file, "--init", f"mean:{nan_mean}"],

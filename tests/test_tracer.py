@@ -22,7 +22,7 @@ def _load_tracer():
 
 
 def _summary(rep):
-    return rep.best, rep.best_size, rep.mis_found_count, rep.runs_completed, rep.numerical_failures
+    return rep.best, rep.best_size, rep.mis_found_count, rep.runs_completed
 
 
 def test_tracer_wraps_the_solver_without_changing_it():
